@@ -57,7 +57,7 @@ const maxFreeEvents = 1024
 // Engine is a discrete-event simulation executive. The zero value is ready
 // to use at virtual time zero.
 type Engine struct {
-	q       calQueue
+	q       eventQueue
 	now     Time
 	seq     uint64
 	stopped bool
@@ -172,8 +172,10 @@ func (e *Engine) recycle(ev *event) {
 
 // trimFree decays the free list to maxFreeEvents at a run boundary,
 // moving the survivors to a right-sized backing array so the large
-// one — grown to the run's peak Pending() — becomes garbage.
+// one — grown to the run's peak Pending() — becomes garbage. The
+// queue's spare FIFOs and slot array decay alongside (eventQueue.trim).
 func (e *Engine) trimFree() {
+	e.q.trim()
 	if len(e.free) <= maxFreeEvents {
 		return
 	}

@@ -8,15 +8,15 @@ import (
 
 // TestBatchServiceAllocGuard pins the hot-path allocation diet: with no
 // batch observers attached (the default), BenchmarkBatchService must
-// allocate what the frozen PR-8 measurement recorded — the level after
-// the calendar-queue engine swap, the struct-of-arrays dedup stage, and
+// allocate what the BENCH_pr13.json freeze recorded — the level after
+// the per-instant event queue, the struct-of-arrays dedup stage, and
 // the pooled GPU event path. A regression here means map churn or
 // per-event allocation leaked back into the batch-service path.
 func TestBatchServiceAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard runs the batch-service benchmark; skipped in -short")
 	}
-	raw, err := os.ReadFile("../../BENCH_pr8.json")
+	raw, err := os.ReadFile("../../BENCH_pr13.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestBatchServiceAllocGuard(t *testing.T) {
 	}
 	baseline := doc.Measured["BenchmarkBatchService"].AllocsPerOp
 	if baseline <= 0 {
-		t.Fatal("BENCH_pr8.json has no measured BenchmarkBatchService allocs_per_op")
+		t.Fatal("BENCH_pr13.json has no measured BenchmarkBatchService allocs_per_op")
 	}
 
 	res := testing.Benchmark(BenchmarkBatchService)
@@ -43,7 +43,7 @@ func TestBatchServiceAllocGuard(t *testing.T) {
 	}
 	// Hard ceiling: the pre-diet PR-5 freeze. Drifting anywhere near it
 	// means the struct-of-arrays work has been undone wholesale, not
-	// jittered — fail regardless of what the PR-8 file says.
+	// jittered — fail regardless of what the frozen file says.
 	const pr5AbsolutePin = 39404
 	if got >= pr5AbsolutePin {
 		t.Fatalf("allocs/op %.0f reached the pre-diet PR-5 pin %d", got, pr5AbsolutePin)

@@ -41,18 +41,19 @@ grep -q 'hostBatchStages' internal/uvm/arch.go || fail "arch.go lost the hostBat
 grep -q 'hostBlockSteps' internal/uvm/arch.go || fail "arch.go lost the hostBlockSteps stage graph"
 grep -q 'registerArchitecture' internal/uvm/arch.go || fail "arch.go lost registerArchitecture"
 
-# 4. Hot-path structural guards (PR 8). The calendar-queue engine swap
-#    and the struct-of-arrays batch stages are load-bearing perf work;
-#    these greps keep the two easiest regressions from creeping back in.
+# 4. Hot-path structural guards. The engine's per-instant event
+#    queue and the struct-of-arrays batch stages are load-bearing perf
+#    work; these greps keep the two easiest regressions from creeping
+#    back in.
 #
 #    4a. No non-test file under the engine or driver hot paths may
 #    import container/heap — the binary heap survives only as the test
-#    oracle (internal/sim/calqueue_test.go, the fuzz target).
+#    oracle (internal/sim/queue_test.go, the fuzz target).
 for pkg in internal/sim internal/uvm; do
   for f in "$pkg"/*.go; do
     case "$f" in *_test.go) continue ;; esac
     if grep -q '"container/heap"' "$f"; then
-      fail "$f imports container/heap; the heap is test-oracle-only since the calendar-queue swap"
+      fail "$f imports container/heap; the heap is test-oracle-only (the engine uses its per-instant event queue)"
     fi
   done
 done
