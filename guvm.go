@@ -14,7 +14,8 @@
 //	res, err := sim.Run(workloads.NewStream(64<<20, 128))
 //	// res.Batches holds per-batch telemetry; res.KernelTime the GPU time.
 //
-// One Simulator runs one workload; create a fresh Simulator per run.
+// One Simulator runs one workload per device; create a fresh Simulator per
+// run.
 package guvm
 
 import (
@@ -41,7 +42,7 @@ import (
 var ErrStalled = errors.New("guvm: simulation stalled")
 
 // ErrSimulatorReused is the sentinel matched by errors.Is when a
-// single-shot Simulator or MultiSimulator is run a second time.
+// single-shot Simulator is run a second time.
 var ErrSimulatorReused = errors.New("guvm: simulator is single-shot; create a new one per run")
 
 // SystemConfig assembles the configuration of every modeled component.
@@ -167,19 +168,31 @@ func (r *Result) BytesMigrated() uint64 {
 	return n
 }
 
-// Simulator wires one GPU, one driver, the host OS and the link onto a
-// shared discrete-event engine.
+// Simulator wires n ≥ 1 GPUs onto one host and a shared discrete-event
+// engine. Each device has its own driver state, memory and PCIe link; the
+// host VM is shared (one OS), and every driver contends for the one host
+// fault-servicing slot held by Arbiter — the paper's client-server
+// architecture (§2.1), where the serial host driver services every
+// client. A single-GPU system is the uncontended case.
 type Simulator struct {
-	Config   SystemConfig
-	Engine   *sim.Engine
-	Device   *gpu.Device
-	Driver   *uvm.Driver
-	HostVM   *hostos.VM
+	Config  SystemConfig
+	Engine  *sim.Engine
+	Devices []*gpu.Device
+	Drivers []*uvm.Driver
+	HostVM  *hostos.VM
+	// Arbiter serializes batch servicing across the drivers and is the
+	// ledger of device-loss recoveries.
+	Arbiter *uvm.Arbiter
+	// Injector is shared by every device, so injection decisions stay
+	// deterministic under the engine's global event order.
 	Injector *faultinject.Injector
-	// HW is the hardware fault-domain injector (nil unless
-	// SystemConfig.HW enables a fault regime).
-	HW      *faultinject.HardwareInjector
-	Auditor *audit.Auditor
+	// HW is the shared hardware fault-domain injector (nil unless
+	// SystemConfig.HW enables a fault regime). Link-health draws stay
+	// independent per device: each decision folds in the link index.
+	HW *faultinject.HardwareInjector
+	// Auditors holds one auditor per device (empty unless
+	// SystemConfig.Audit is active).
+	Auditors []*audit.Auditor
 	// Obs is the attached observer (nil unless SystemConfig.Obs is
 	// active). A nil observer is safe to call everywhere.
 	Obs *obs.Observer
@@ -187,9 +200,22 @@ type Simulator struct {
 	used bool
 }
 
-// NewSimulator builds a simulator. An invalid component or injection
-// configuration is an error.
+// NewSimulator builds a single-GPU simulator. An invalid component or
+// injection configuration is an error.
 func NewSimulator(cfg SystemConfig) (*Simulator, error) {
+	return NewMultiSimulator(cfg, 1)
+}
+
+// NewMultiSimulator builds an n-device simulator. An invalid component or
+// injection configuration is an error, and so is an active cfg.Obs with
+// more than one device: the observer follows a single device.
+func NewMultiSimulator(cfg SystemConfig, n int) (*Simulator, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("guvm: %d devices, need at least one", n)
+	}
+	if cfg.Obs.Active() && n > 1 {
+		return nil, fmt.Errorf("guvm: SystemConfig.Obs observes one device, system has %d devices", n)
+	}
 	if err := cfg.Policies.Apply(&cfg.Driver); err != nil {
 		return nil, err
 	}
@@ -197,30 +223,15 @@ func NewSimulator(cfg SystemConfig) (*Simulator, error) {
 	eng.MaxEvents = cfg.MaxEvents
 	eng.MaxStallEvents = cfg.MaxStallEvents
 	vm := hostos.NewVM(cfg.Host)
-	link := interconnect.NewLink(cfg.Link)
-	drv, err := uvm.NewDriver(cfg.Driver, eng, vm, link)
-	if err != nil {
-		return nil, err
-	}
-	drv.Collector.KeepFaults = cfg.KeepFaults
-	drv.Collector.KeepSpans = cfg.KeepSpans
-	dev, err := gpu.NewDevice(cfg.GPU, eng, drv)
-	if err != nil {
-		return nil, err
-	}
-	drv.Attach(dev)
 	inj, err := faultinject.New(cfg.Inject)
 	if err != nil {
 		return nil, err
 	}
-	drv.SetInjector(inj)
-	dev.SetInjector(inj)
 	s := &Simulator{
 		Config:   cfg,
 		Engine:   eng,
-		Device:   dev,
-		Driver:   drv,
 		HostVM:   vm,
+		Arbiter:  uvm.NewArbiter(eng),
 		Injector: inj,
 	}
 	if cfg.HW.Enabled() {
@@ -228,25 +239,52 @@ func NewSimulator(cfg SystemConfig) (*Simulator, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cfg.HW.KillBatch > 0 && cfg.HW.KillDevice != 0 {
-			return nil, fmt.Errorf("guvm: HW.KillDevice = %d, single-GPU system has only device 0",
-				cfg.HW.KillDevice)
+		if cfg.HW.KillBatch > 0 && cfg.HW.KillDevice >= n {
+			return nil, fmt.Errorf("guvm: HW.KillDevice = %d, system has %d devices",
+				cfg.HW.KillDevice, n)
 		}
 		s.HW = hw
-		link.SetHardware(hw, 0, eng.Now)
-		drv.SetHardware(hw)
 	}
-	if cfg.Audit.Active() {
-		s.Auditor = audit.New(cfg.Audit, audit.Options{}, eng, drv, dev, vm, inj)
-		s.Auditor.SetHardware(s.HW)
-		s.Auditor.Attach()
+	for i := 0; i < n; i++ {
+		link := interconnect.NewLink(cfg.Link)
+		drv, err := uvm.NewDriver(cfg.Driver, eng, vm, link)
+		if err != nil {
+			return nil, err
+		}
+		drv.Collector.KeepFaults = cfg.KeepFaults
+		drv.Collector.KeepSpans = cfg.KeepSpans
+		dev, err := gpu.NewDevice(cfg.GPU, eng, drv)
+		if err != nil {
+			return nil, err
+		}
+		drv.Attach(dev)
+		drv.SetArbiter(s.Arbiter)
+		drv.SetInjector(inj)
+		dev.SetInjector(inj)
+		if s.HW != nil {
+			link.SetHardware(s.HW, i, eng.Now)
+			drv.SetHardware(s.HW)
+		}
+		if cfg.Audit.Active() {
+			// With several devices every driver aliases the one host VM,
+			// injector and hardware domain, so the per-device checks that
+			// reconcile against them are skipped.
+			a := audit.New(cfg.Audit, audit.Options{Shared: n > 1}, eng, drv, dev, vm, inj)
+			a.SetHardware(s.HW)
+			a.Attach()
+			s.Auditors = append(s.Auditors, a)
+		}
+		s.Drivers = append(s.Drivers, drv)
+		s.Devices = append(s.Devices, dev)
 	}
 	if s.HW != nil && cfg.HW.KillBatch > 0 {
-		// Device-death schedule: after the configured batch completes
-		// (observers run with the service slot released), kill the
-		// device, re-home its pages, then declare the link dead. The
-		// drain cost is scheduled so total time covers the recovery.
-		kill := cfg.HW.KillBatch
+		// Device-death schedule: after the victim completes the configured
+		// batch (observers run with the service slot released), kill it,
+		// re-home its pages, declare its link dead and record the recovery
+		// in the arbiter ledger. Surviving devices keep running; the drain
+		// cost is scheduled so total time covers the recovery.
+		victim, kill := cfg.HW.KillDevice, cfg.HW.KillBatch
+		drv, dev := s.Drivers[victim], s.Devices[victim]
 		drv.AddBatchObserver(func(id int, _ *trace.BatchRecord) {
 			if id+1 != kill {
 				return
@@ -255,10 +293,13 @@ func NewSimulator(cfg SystemConfig) (*Simulator, error) {
 			rep := drv.RehomeToHost()
 			s.HW.NoteDeviceKilled()
 			drv.Link().Kill()
+			s.Arbiter.NoteRehome(uvm.RehomeRecord{Device: victim, Batch: kill,
+				Blocks: rep.Blocks, Pages: rep.Pages, Bytes: rep.Bytes, At: eng.Now()})
 			eng.Schedule(rep.Cost, func() {})
 		})
 	}
 	if cfg.Obs.Active() {
+		drv := s.Drivers[0]
 		s.Obs = obs.New(cfg.Obs)
 		// The driver's effective costs can differ from cfg.Driver (the
 		// selected architecture may rewrite its cost model).
@@ -286,40 +327,41 @@ func NewSimulator(cfg SystemConfig) (*Simulator, error) {
 // instrumentation to the fault-service hot path.
 func (s *Simulator) registerMetrics() {
 	r := s.Obs.Registry
+	drv, dev := s.Drivers[0], s.Devices[0]
 	r.Func("guvm_sim_time_ns", "Current virtual time in nanoseconds",
 		func() float64 { return float64(s.Engine.Now()) })
 	r.Func("guvm_engine_events_total", "Events dispatched by the simulation engine",
 		func() float64 { return float64(s.Engine.Executed()) })
 
 	r.Func("guvm_driver_batches_total", "Fault batches serviced",
-		func() float64 { return float64(s.Driver.Stats().Batches) })
+		func() float64 { return float64(drv.Stats().Batches) })
 	r.Func("guvm_driver_faults_total", "Fault records fetched across batches",
-		func() float64 { return float64(s.Driver.Stats().TotalFaults) })
+		func() float64 { return float64(drv.Stats().TotalFaults) })
 	r.Func("guvm_driver_stale_faults_total", "Fetched faults already resident (stale duplicates)",
-		func() float64 { return float64(s.Driver.Stats().StaleFaults) })
+		func() float64 { return float64(drv.Stats().StaleFaults) })
 	r.Func("guvm_driver_evictions_total", "VABlock evictions under memory pressure",
-		func() float64 { return float64(s.Driver.Stats().Evictions) })
+		func() float64 { return float64(drv.Stats().Evictions) })
 	r.Func("guvm_driver_prefetched_pages_total", "Pages migrated by density prefetching",
-		func() float64 { return float64(s.Driver.Stats().PrefetchedPages) })
+		func() float64 { return float64(drv.Stats().PrefetchedPages) })
 	r.Func("guvm_driver_migrated_pages_total", "Pages migrated to the GPU on the fault path",
-		func() float64 { return float64(s.Driver.Stats().MigratedPages) })
+		func() float64 { return float64(drv.Stats().MigratedPages) })
 	r.Func("guvm_driver_wakeups_total", "Driver wakeups from fault-buffer interrupts",
-		func() float64 { return float64(s.Driver.Stats().WakeUps) })
+		func() float64 { return float64(drv.Stats().WakeUps) })
 	r.Func("guvm_driver_batch_shrinks_total", "Effective-batch halvings under host allocation pressure",
-		func() float64 { return float64(s.Driver.Stats().BatchShrinks) })
+		func() float64 { return float64(drv.Stats().BatchShrinks) })
 
 	r.Func("guvm_gpu_faults_emitted_total", "Fault records written to the fault buffer",
-		func() float64 { return float64(s.Device.Stats().FaultsEmitted) })
+		func() float64 { return float64(dev.Stats().FaultsEmitted) })
 	r.Func("guvm_gpu_dup_faults_total", "Fault records emitted while the page was already pending",
-		func() float64 { return float64(s.Device.Stats().DupFaults) })
+		func() float64 { return float64(dev.Stats().DupFaults) })
 	r.Func("guvm_gpu_refaults_total", "Accesses re-faulted after an unserviced replay",
-		func() float64 { return float64(s.Device.Stats().Refaults) })
+		func() float64 { return float64(dev.Stats().Refaults) })
 	r.Func("guvm_gpu_throttle_stalls_total", "Issue attempts delayed by the SM rate throttle",
-		func() float64 { return float64(s.Device.Stats().ThrottleStalls) })
+		func() float64 { return float64(dev.Stats().ThrottleStalls) })
 	r.Func("guvm_gpu_utlb_full_stalls_total", "Warp stalls on µTLB capacity",
-		func() float64 { return float64(s.Device.Stats().UTLBFullStalls) })
+		func() float64 { return float64(dev.Stats().UTLBFullStalls) })
 	r.Func("guvm_gpu_blocks_completed_total", "Thread blocks retired",
-		func() float64 { return float64(s.Device.Stats().BlocksCompleted) })
+		func() float64 { return float64(dev.Stats().BlocksCompleted) })
 
 	r.Func("guvm_host_unmap_calls_total", "unmap_mapping_range invocations",
 		func() float64 { return float64(s.HostVM.Stats().UnmapCalls) })
@@ -333,15 +375,15 @@ func (s *Simulator) registerMetrics() {
 		func() float64 { return float64(s.HostVM.Stats().RadixNodes) })
 
 	r.Func("guvm_link_ops_total", "Interconnect transfer operations",
-		func() float64 { return float64(s.Driver.Link().Stats().Ops) })
+		func() float64 { return float64(drv.Link().Stats().Ops) })
 	r.Func("guvm_link_bytes_to_gpu_total", "Bytes moved host-to-GPU",
-		func() float64 { return float64(s.Driver.Link().Stats().BytesToGPU) })
+		func() float64 { return float64(drv.Link().Stats().BytesToGPU) })
 	r.Func("guvm_link_bytes_to_host_total", "Bytes moved GPU-to-host",
-		func() float64 { return float64(s.Driver.Link().Stats().BytesToHost) })
+		func() float64 { return float64(drv.Link().Stats().BytesToHost) })
 
 	if s.HW != nil {
 		r.Func("guvm_hw_link_health", "Current link health (0 healthy, 1 degraded, 2 flapping, 3 dead)",
-			func() float64 { return float64(s.Driver.Link().Health()) })
+			func() float64 { return float64(drv.Link().Health()) })
 		r.Func("guvm_hw_degraded_epochs_total", "Link-health epochs drawn degraded so far",
 			func() float64 {
 				_, deg, _ := s.HW.EpochHealthCounts(0, s.Engine.Now())
@@ -353,11 +395,11 @@ func (s *Simulator) registerMetrics() {
 				return float64(flap)
 			})
 		r.Func("guvm_hw_link_retries_total", "Transfer operations re-carried after injected drops",
-			func() float64 { return float64(s.Driver.Stats().HWLinkRetries) })
+			func() float64 { return float64(drv.Stats().HWLinkRetries) })
 		r.Func("guvm_hw_degraded_shrinks_total", "Batch halvings by the degraded-aware sizer",
-			func() float64 { return float64(s.Driver.Stats().DegradedShrinks) })
+			func() float64 { return float64(drv.Stats().DegradedShrinks) })
 		r.Func("guvm_hw_rehomed_pages_total", "Pages re-homed to the host after device death",
-			func() float64 { return float64(s.Driver.Stats().RehomedPages) })
+			func() float64 { return float64(drv.Stats().RehomedPages) })
 		r.Func("guvm_hw_devices_killed_total", "Devices killed by the fault schedule",
 			func() float64 { return float64(s.HW.Stats().DevicesKilled) })
 		r.Func("guvm_hw_transfer_injected_total", "Injected link-transfer drops",
@@ -368,7 +410,7 @@ func (s *Simulator) registerMetrics() {
 			func() float64 { return float64(s.HW.Stats().LinkTransfer.Unrecovered) })
 	}
 
-	for _, cat := range []struct {
+	for _, c := range []struct {
 		name string
 		get  func() faultinject.Counters
 	}{
@@ -376,7 +418,6 @@ func (s *Simulator) registerMetrics() {
 		{"migrate", func() faultinject.Counters { return s.Injector.Stats().Migrate }},
 		{"host_alloc", func() faultinject.Counters { return s.Injector.Stats().HostAlloc }},
 	} {
-		c := cat
 		r.Func("guvm_inject_"+c.name+"_injected_total", "Faults injected in category "+c.name,
 			func() float64 { return float64(c.get().Injected) })
 		r.Func("guvm_inject_"+c.name+"_retried_total", "Retries after injection in category "+c.name,
@@ -388,110 +429,75 @@ func (s *Simulator) registerMetrics() {
 	}
 }
 
-// Run executes the workload under UVM demand paging and returns its
-// telemetry. A Simulator is single-shot: a second Run returns an error.
+// Run executes the workload on a single-GPU simulator under UVM demand
+// paging and returns its telemetry. A Simulator is single-shot: a second
+// run returns an error wrapping ErrSimulatorReused.
 func (s *Simulator) Run(w workloads.Workload) (*Result, error) {
-	return s.run(w, false)
+	return first(s.run([]workloads.Workload{w}, false))
 }
 
-// RunExplicit executes the workload under explicit (cudaMemcpy-style)
-// management: every allocation is bulk-copied to the GPU before the first
-// kernel, so no faults occur. This is the Figure 1 baseline.
+// RunExplicit executes the workload on a single-GPU simulator under
+// explicit (cudaMemcpy-style) management: every allocation is bulk-copied
+// to the GPU before the first kernel, so no faults occur. This is the
+// Figure 1 baseline.
 func (s *Simulator) RunExplicit(w workloads.Workload) (*Result, error) {
-	return s.run(w, true)
+	return first(s.run([]workloads.Workload{w}, true))
 }
 
-func (s *Simulator) run(w workloads.Workload, explicit bool) (*Result, error) {
+// RunConcurrent executes workload i on device i under UVM demand paging,
+// all starting at virtual time zero, and returns one Result per device.
+func (s *Simulator) RunConcurrent(ws []workloads.Workload) ([]*Result, error) {
+	return s.run(ws, false)
+}
+
+// first unwraps the one result of a single-device run.
+func first(rs []*Result, err error) (*Result, error) {
+	if len(rs) == 0 {
+		return nil, err
+	}
+	return rs[0], err
+}
+
+// where names device i in diagnostics; a single-GPU system needs no index.
+func (s *Simulator) where(i int) string {
+	if len(s.Devices) == 1 {
+		return ""
+	}
+	return fmt.Sprintf("device %d ", i)
+}
+
+func (s *Simulator) run(ws []workloads.Workload, explicit bool) ([]*Result, error) {
 	if s.used {
 		return nil, fmt.Errorf("guvm: Simulator already ran: %w", ErrSimulatorReused)
 	}
 	s.used = true
-
-	allocs := w.Allocs()
-	bases := make([]mem.Addr, len(allocs))
-	var totalBytes uint64
-	for i, a := range allocs {
-		if a.Bytes == 0 {
-			return nil, fmt.Errorf("guvm: workload %q allocation %d is empty", w.Name(), i)
-		}
-		var opts []uvm.AllocOption
-		if a.HostInit && !explicit {
-			opts = append(opts, uvm.WithHostInit(a.HostThreads))
-		}
-		bases[i] = s.Driver.Alloc(a.Bytes, opts...)
-		totalBytes += a.Bytes
-	}
-	if explicit && totalBytes > s.Config.Driver.GPUMemBytes {
-		return nil, fmt.Errorf("guvm: explicit management cannot oversubscribe: need %d bytes, capacity %d",
-			totalBytes, s.Config.Driver.GPUMemBytes)
+	if len(ws) != len(s.Devices) {
+		return nil, fmt.Errorf("guvm: %d workloads for %d devices", len(ws), len(s.Devices))
 	}
 
-	phases := w.Phases(bases)
-	var kernelTime sim.Time
-	var runErr error
-
+	kernelTimes := make([]sim.Time, len(ws))
+	basesPer := make([][]mem.Addr, len(ws))
+	for i, w := range ws {
+		var err error
+		if basesPer[i], err = s.start(i, w, explicit, &kernelTimes[i]); err != nil {
+			return nil, err
+		}
+	}
 	if s.Obs != nil {
-		name := w.Name()
+		name := ws[0].Name()
+		drv := s.Drivers[0]
 		s.Obs.SetStatusFunc(func() any {
 			return map[string]any{
 				"workload":    name,
 				"sim_time_ns": int64(s.Engine.Now()),
-				"batches":     s.Driver.Stats().Batches,
-				"faults":      s.Driver.Stats().TotalFaults,
+				"batches":     drv.Stats().Batches,
+				"faults":      drv.Stats().TotalFaults,
 				"events":      s.Engine.Executed(),
 			}
 		})
 	}
 
-	var runPhase func(i int)
-	runPhase = func(i int) {
-		if i >= len(phases) {
-			return
-		}
-		ph := phases[i]
-		for _, ht := range ph.HostTouches {
-			if !explicit {
-				s.Driver.TouchHost(ht.Base, ht.Bytes, ht.Threads)
-			}
-		}
-		if ph.Kernel.NumBlocks == 0 {
-			runPhase(i + 1)
-			return
-		}
-		if s.Config.Driver.AsyncUnmap && !explicit {
-			// §6 extension: unmap CPU mappings preemptively as the
-			// application shifts to GPU compute, overlapping launch.
-			s.Driver.PreUnmapAllocations()
-		}
-		start := s.Engine.Now()
-		err := s.Device.LaunchKernel(ph.Kernel, func() {
-			kernelTime += s.Engine.Now() - start
-			s.Obs.OnKernel(i, start, s.Engine.Now()-start)
-			runPhase(i + 1)
-		})
-		if err != nil {
-			s.Engine.Fail(fmt.Errorf("guvm: phase %d: %w", i, err))
-		}
-	}
-
-	s.Engine.Schedule(0, func() {
-		if explicit {
-			var copyCost sim.Time
-			for i, a := range allocs {
-				c, err := s.Driver.ExplicitCopyToGPU(bases[i], a.Bytes)
-				if err != nil {
-					s.Engine.Fail(fmt.Errorf("guvm: allocation %d: %w", i, err))
-					return
-				}
-				copyCost += c
-			}
-			s.Engine.Schedule(copyCost, func() { runPhase(0) })
-			return
-		}
-		runPhase(0)
-	})
-
-	var engErr error
+	var runErr, engErr error
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -504,16 +510,19 @@ func (s *Simulator) run(w workloads.Workload, explicit bool) (*Result, error) {
 	if failure == nil {
 		failure = engErr
 	}
-	if failure == nil && s.Device.Running() {
-		// The event queue drained with the kernel incomplete: a fault
-		// was lost for good (injected drops past their retry budget with
-		// no later replay). Surface a typed diagnostic, not a hang.
-		failure = fmt.Errorf("guvm: kernel incomplete at virtual time %d ns with no pending events: %w",
-			s.Engine.Now(), ErrStalled)
+	for i, dev := range s.Devices {
+		if failure == nil && dev.Running() {
+			// The event queue drained with a kernel incomplete: a fault
+			// was lost for good (injected drops past their retry budget
+			// with no later replay). Surface a typed diagnostic, not a
+			// hang.
+			failure = fmt.Errorf("guvm: %skernel incomplete at virtual time %d ns with no pending events: %w",
+				s.where(i), s.Engine.Now(), ErrStalled)
+		}
 	}
-	var auditRep *audit.Report
-	if s.Auditor != nil {
-		auditRep = s.Auditor.Finish(failure)
+	auditReps := make([]*audit.Report, len(ws))
+	for i, a := range s.Auditors {
+		auditReps[i] = a.Finish(failure)
 	}
 	// Final publish so live endpoints and exports see end-of-run state
 	// even when the run finished between sample points.
@@ -522,29 +531,109 @@ func (s *Simulator) run(w workloads.Workload, explicit bool) (*Result, error) {
 		return nil, failure
 	}
 
-	col := s.Driver.Collector
-	res := &Result{
-		Workload:     w.Name(),
-		KernelTime:   kernelTime,
-		TotalTime:    s.Engine.Now(),
-		Batches:      col.Batches,
-		Faults:       col.Faults,
-		FaultBatch:   col.FaultBatch,
-		Bases:        bases,
-		DriverStats:  s.Driver.Stats(),
-		DeviceStats:  s.Device.Stats(),
-		HostStats:    s.HostVM.Stats(),
-		LinkStats:    s.Driver.Link().Stats(),
-		InjectStats:  s.Injector.Stats(),
-		HWStats:      s.HW.Stats(),
-		DeviceFailed: s.Driver.Dead(),
-		Audit:        auditRep,
+	results := make([]*Result, len(ws))
+	var auditErr error
+	for i, drv := range s.Drivers {
+		col := drv.Collector
+		results[i] = &Result{
+			Workload:     ws[i].Name(),
+			KernelTime:   kernelTimes[i],
+			TotalTime:    s.Engine.Now(),
+			Batches:      col.Batches,
+			Faults:       col.Faults,
+			FaultBatch:   col.FaultBatch,
+			Bases:        basesPer[i],
+			DriverStats:  drv.Stats(),
+			DeviceStats:  s.Devices[i].Stats(),
+			HostStats:    s.HostVM.Stats(),
+			LinkStats:    drv.Link().Stats(),
+			InjectStats:  s.Injector.Stats(),
+			HWStats:      s.HW.Stats(),
+			DeviceFailed: drv.Dead(),
+			Audit:        auditReps[i],
+		}
+		if err := auditReps[i].Err(); err != nil && auditErr == nil {
+			// End-of-run checks failed on an otherwise clean run: hand
+			// back the telemetry (the report pinpoints the violation)
+			// plus the typed error.
+			auditErr = fmt.Errorf("guvm: %srun completed but failed its audit: %w", s.where(i), err)
+		}
 	}
-	if err := auditRep.Err(); err != nil {
-		// End-of-run checks failed on an otherwise clean run: hand back
-		// the telemetry (the report pinpoints the violation) plus the
-		// typed error.
-		return res, fmt.Errorf("guvm: run completed but failed its audit: %w", err)
+	return results, auditErr
+}
+
+// start allocates workload w on device i and schedules its start event at
+// virtual time zero: the explicit bulk copy (if requested), then the
+// phase chain. It returns the allocation bases; kernelTime accumulates
+// the device's GPU phase time.
+func (s *Simulator) start(i int, w workloads.Workload, explicit bool, kernelTime *sim.Time) ([]mem.Addr, error) {
+	drv, dev := s.Drivers[i], s.Devices[i]
+	allocs := w.Allocs()
+	bases := make([]mem.Addr, len(allocs))
+	var totalBytes uint64
+	for j, a := range allocs {
+		if a.Bytes == 0 {
+			return nil, fmt.Errorf("guvm: workload %q allocation %d is empty", w.Name(), j)
+		}
+		var opts []uvm.AllocOption
+		if a.HostInit && !explicit {
+			opts = append(opts, uvm.WithHostInit(a.HostThreads))
+		}
+		bases[j] = drv.Alloc(a.Bytes, opts...)
+		totalBytes += a.Bytes
 	}
-	return res, nil
+	if explicit && totalBytes > s.Config.Driver.GPUMemBytes {
+		return nil, fmt.Errorf("guvm: explicit management cannot oversubscribe: need %d bytes, capacity %d",
+			totalBytes, s.Config.Driver.GPUMemBytes)
+	}
+
+	phases := w.Phases(bases)
+	var runPhase func(p int)
+	runPhase = func(p int) {
+		if p >= len(phases) {
+			return
+		}
+		ph := phases[p]
+		for _, ht := range ph.HostTouches {
+			if !explicit {
+				drv.TouchHost(ht.Base, ht.Bytes, ht.Threads)
+			}
+		}
+		if ph.Kernel.NumBlocks == 0 {
+			runPhase(p + 1)
+			return
+		}
+		if s.Config.Driver.AsyncUnmap && !explicit {
+			// §6 extension: unmap CPU mappings preemptively as the
+			// application shifts to GPU compute, overlapping launch.
+			drv.PreUnmapAllocations()
+		}
+		start := s.Engine.Now()
+		err := dev.LaunchKernel(ph.Kernel, func() {
+			*kernelTime += s.Engine.Now() - start
+			s.Obs.OnKernel(p, start, s.Engine.Now()-start)
+			runPhase(p + 1)
+		})
+		if err != nil {
+			s.Engine.Fail(fmt.Errorf("guvm: %sphase %d: %w", s.where(i), p, err))
+		}
+	}
+
+	s.Engine.Schedule(0, func() {
+		if explicit {
+			var copyCost sim.Time
+			for j, a := range allocs {
+				c, err := drv.ExplicitCopyToGPU(bases[j], a.Bytes)
+				if err != nil {
+					s.Engine.Fail(fmt.Errorf("guvm: %sallocation %d: %w", s.where(i), j, err))
+					return
+				}
+				copyCost += c
+			}
+			s.Engine.Schedule(copyCost, func() { runPhase(0) })
+			return
+		}
+		runPhase(0)
+	})
+	return bases, nil
 }

@@ -91,7 +91,11 @@ func TestSingleDeviceKillRehomesPages(t *testing.T) {
 	cfg := hwTestConfig()
 	cfg.HW.KillBatch = 3
 
-	res := mustRun(t, cfg, workloads.NewStream(8<<20, 16))
+	s := mustSim(t, cfg)
+	res, err := s.Run(workloads.NewStream(8<<20, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.DeviceFailed {
 		t.Fatal("DeviceFailed = false after scheduled kill")
 	}
@@ -110,6 +114,16 @@ func TestSingleDeviceKillRehomesPages(t *testing.T) {
 	}
 	if err := res.Audit.Err(); err != nil {
 		t.Fatalf("audit violation: %v", err)
+	}
+	// One device is the uncontended arbiter: the recovery lands in the
+	// same ledger as on a multi-GPU system.
+	recs := s.Arbiter.Rehomes()
+	if len(recs) != 1 {
+		t.Fatalf("arbiter recorded %d re-homings, want 1", len(recs))
+	}
+	rec := recs[0]
+	if rec.Device != 0 || rec.Batch != 3 || rec.Pages != st.RehomedPages || rec.Bytes != st.RehomedBytes {
+		t.Fatalf("arbiter record %+v disagrees with driver stats %+v", rec, st)
 	}
 }
 
@@ -150,7 +164,7 @@ func TestMultiGPUDeviceDeathDrill(t *testing.T) {
 		}
 	}
 
-	run := func() (*MultiSimulator, []*Result) {
+	run := func() (*Simulator, []*Result) {
 		t.Helper()
 		m := mustMulti(t, mkCfg(), 2)
 		results, err := m.RunConcurrent(mkWs())

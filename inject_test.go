@@ -24,7 +24,7 @@ func TestFaultBufferOverflowReplayRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("overflowing run failed: %v", err)
 		}
-		return res, s.Device.Buffer.Dropped
+		return res, s.Devices[0].Buffer.Dropped
 	}
 
 	res, dropped := runOnce()

@@ -60,19 +60,14 @@ func (c Config) Active() bool { return c.Enabled || c.Interval > 0 }
 
 // Options adapt the checks to how the system is wired.
 type Options struct {
-	// SharedHost disables the host-exclusivity check: in a multi-GPU
-	// system every driver has its own VA space but all share one host VM,
-	// so block IDs alias across devices and residency cannot be compared
-	// against CPU mappings per driver.
-	SharedHost bool
-	// SharedInjector disables the cross-layer injection equalities: with
-	// one injector serving several devices, per-device counters are each
-	// a fraction of the injector's totals.
-	SharedInjector bool
-	// SharedHardware likewise disables the cross-layer hardware-injection
-	// equality (driver link-retry count vs injected transfer drops) when
-	// one HardwareInjector serves several links.
-	SharedHardware bool
+	// Shared marks a driver that shares its host VM, injector and hardware
+	// domain with other drivers (a multi-GPU system). It disables the
+	// per-device checks that reconcile against those shared components:
+	// host exclusivity (every driver has its own VA space, so block IDs
+	// alias across devices in the one host VM) and the cross-layer
+	// injection and hardware-injection equalities (per-device counters are
+	// each a fraction of the shared injectors' totals).
+	Shared bool
 }
 
 // ErrViolation is the sentinel matched by errors.Is for any invariant
@@ -366,7 +361,7 @@ func (a *Auditor) checkHardware(st *uvm.Stats) *ViolationError {
 			Detail: fmt.Sprintf("link-transfer: recovered %d > retried %d", n.Recovered, n.Retried),
 		}
 	}
-	if a.opt.SharedHardware {
+	if a.opt.Shared {
 		return nil
 	}
 	if uint64(st.HWLinkRetries) != n.Injected {
@@ -454,7 +449,7 @@ func (a *Auditor) checkInjection(st *uvm.Stats) *ViolationError {
 				ds.InjectedDrops, ds.InjectedDropRetries, ds.InjectedDropsLost),
 		}
 	}
-	if a.opt.SharedInjector {
+	if a.opt.Shared {
 		return nil
 	}
 	if uint64(ds.InjectedDrops) != is.BufferDrop.Injected {
@@ -526,7 +521,7 @@ func (a *Auditor) checkDriverState(dst *uvm.AuditState) *ViolationError {
 				}
 			}
 		}
-		if !a.opt.SharedHost {
+		if !a.opt.Shared {
 			mp := a.vm.MappedPages(b.ID)
 			for w := range mp {
 				if mp[w]&b.Resident[w] != 0 {

@@ -354,10 +354,10 @@ func TestCheckInjectionCleanSystem(t *testing.T) {
 // the per-device reconciliations that aliasing invalidates.
 func TestSharedOptionsSkipCrossLayerChecks(t *testing.T) {
 	a := testSystem(t)
-	a.opt = Options{SharedHost: true, SharedInjector: true}
+	a.opt = Options{Shared: true}
 	var st uvm.Stats
 	st.MigRetries = 3 // would trip the single-injector equality
 	if v := a.checkInjection(&st); v != nil {
-		t.Fatalf("SharedInjector did not skip cross-layer check: %v", v)
+		t.Fatalf("Shared did not skip cross-layer check: %v", v)
 	}
 }

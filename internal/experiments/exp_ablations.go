@@ -95,7 +95,7 @@ func AblAdaptiveBatch() (*Artifact, error) {
 		if sizing == "adaptive" {
 			name = "adaptive"
 		}
-		t.AddRow(name, ms(res.KernelTime), len(res.Batches), dups, s.Driver.EffectiveBatchSize())
+		t.AddRow(name, ms(res.KernelTime), len(res.Batches), dups, s.Drivers[0].EffectiveBatchSize())
 		kernels = append(kernels, ms(res.KernelTime))
 	}
 	a.Tables = append(a.Tables, t)

@@ -2,14 +2,14 @@ package uvm
 
 import "guvm/internal/sim"
 
-// Arbiter serializes batch servicing across multiple drivers (devices).
-// The paper's §2.1 architecture is client-server: one host driver services
-// page faults for all clients, and §6 identifies the driver as "a serial
-// bottleneck for the parallel batch workloads created by the GPU". With
-// several GPUs sharing the host driver, batches queue here — the
-// multi-device interference the paper positions as follow-on work.
-//
-// The zero value is ready to use.
+// Arbiter serializes batch servicing across the drivers (devices) that
+// share it. The paper's §2.1 architecture is client-server: one host
+// driver services page faults for all clients, and §6 identifies the
+// driver as "a serial bottleneck for the parallel batch workloads created
+// by the GPU". Every driver holds an arbiter; a single device is the
+// uncontended case. With several GPUs sharing the host driver, batches
+// queue here — the multi-device interference the paper positions as
+// follow-on work.
 //
 // The arbiter is also the system-level ledger for device-loss recovery:
 // when a device dies and its driver re-homes resident pages to the host

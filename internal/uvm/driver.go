@@ -217,9 +217,12 @@ type Driver struct {
 	hw   *faultinject.HardwareInjector
 	dead bool
 
-	// arbiter, when set, serializes batch servicing with other drivers
-	// sharing the host (multi-GPU).
-	arbiter *Arbiter
+	// arbiter serializes batch servicing with every other driver sharing
+	// the host. NewDriver gives each driver a private, uncontended one;
+	// SetArbiter replaces it with a system's shared one. beginBatchFn is
+	// beginBatch bound once, so arbitration allocates nothing per batch.
+	arbiter      *Arbiter
+	beginBatchFn func()
 
 	// onBatch holds the observers of every completed batch (audit and
 	// observability hooks). They run in registration order after the
@@ -263,7 +266,7 @@ func NewDriver(cfg Config, eng *sim.Engine, vm *hostos.VM, link *interconnect.Li
 	}
 	pmm := gpumem.New(cfg.GPUMemBytes)
 	pmm.SetManager(arch.info.MappingOwner)
-	return &Driver{
+	d := &Driver{
 		cfg:       cfg,
 		arch:      arch,
 		eng:       eng,
@@ -277,8 +280,11 @@ func NewDriver(cfg Config, eng *sim.Engine, vm *hostos.VM, link *interconnect.Li
 		planner:   resolvePrefetchPlanner(cfg),
 		sizer:     resolveBatchSizer(cfg),
 		evictRNG:  sim.NewRNG(cfg.EvictionSeed),
+		arbiter:   NewArbiter(eng),
 		Collector: &trace.Collector{},
-	}, nil
+	}
+	d.beginBatchFn = d.beginBatch
+	return d, nil
 }
 
 // Attach wires the driver to its device and registers the interrupt
@@ -297,8 +303,8 @@ func (d *Driver) Attach(dev *gpu.Device) {
 	}
 }
 
-// SetArbiter makes the driver contend for the shared host service slot
-// before each batch (multi-GPU configurations).
+// SetArbiter makes the driver contend for a host service slot shared with
+// other drivers (devices) before each batch, replacing its private one.
 func (d *Driver) SetArbiter(a *Arbiter) { d.arbiter = a }
 
 // AddBatchObserver registers fn to run at the end of every batch, after

@@ -37,11 +37,7 @@ func (d *Driver) startBatch() {
 		return
 	}
 	d.inBatch = true
-	if d.arbiter != nil {
-		d.arbiter.Acquire(d.beginBatch)
-		return
-	}
-	d.beginBatch()
+	d.arbiter.Acquire(d.beginBatchFn)
 }
 
 // beginBatch runs once the service slot is held.

@@ -196,8 +196,6 @@ func (d *Driver) runBlock(bid mem.VABlockID, pages []mem.PageID, eager bool, bc 
 // shared service slot so diagnostics from other drivers stay coherent.
 func (d *Driver) fail(err error) {
 	d.inBatch = false
-	if d.arbiter != nil {
-		d.arbiter.Release()
-	}
+	d.arbiter.Release()
 	d.eng.Fail(err)
 }

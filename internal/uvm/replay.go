@@ -35,9 +35,7 @@ func (replayStage) run(d *Driver, bc *batchCtx) error {
 		d.stats.Batches++
 		d.stats.TotalFaults += len(bc.faults)
 		d.inBatch = false
-		if d.arbiter != nil {
-			d.arbiter.Release()
-		}
+		d.arbiter.Release()
 		if d.prof != nil {
 			// Before the observers: profiler-derived metrics must be
 			// current when the obs sampler reads the registry.

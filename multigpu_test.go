@@ -2,13 +2,15 @@ package guvm
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
+	"guvm/internal/obs"
 	"guvm/internal/uvm"
 	"guvm/internal/workloads"
 )
 
-func mustMulti(t *testing.T, cfg SystemConfig, n int) *MultiSimulator {
+func mustMulti(t *testing.T, cfg SystemConfig, n int) *Simulator {
 	t.Helper()
 	m, err := NewMultiSimulator(cfg, n)
 	if err != nil {
@@ -104,6 +106,19 @@ func TestMultiSimulatorValidation(t *testing.T) {
 	}
 	if _, err := NewMultiSimulator(cfg, 0); err == nil {
 		t.Fatal("0 devices accepted")
+	}
+	// The observer follows one device; a multi-GPU system must reject it
+	// rather than silently drop it.
+	obsCfg := cfg
+	obsCfg.Obs = obs.Config{SampleInterval: 1}
+	if _, err := NewMultiSimulator(obsCfg, 2); err == nil || !strings.Contains(err.Error(), "has 2 devices") {
+		t.Fatalf("active Obs on 2 devices: err = %v, want an error naming the device count", err)
+	}
+	// Run is the one-workload entry point: on two devices it is a
+	// workload-count mismatch.
+	if _, err := mustMulti(t, cfg, 2).Run(workloads.NewStream(4<<20, 8)); err == nil ||
+		!strings.Contains(err.Error(), "1 workloads for 2 devices") {
+		t.Fatalf("Run on 2 devices: err = %v, want the workload-count error", err)
 	}
 }
 

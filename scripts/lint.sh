@@ -115,6 +115,28 @@ for cli in uvmsim uvmsweep faultviz paperfigs sweepd; do
   fi
 done
 
+# 8. One simulator wiring for 1..N devices. Every driver holds an arbiter
+#    (a private one until SetArbiter shares it), so the driver has no
+#    "no arbiter" path; the root package builds drivers in one place; and
+#    no second simulator type may grow back beside Simulator.
+for f in internal/uvm/*.go; do
+  case "$f" in *_test.go) continue ;; esac
+  if grep -qn 'arbiter != nil' "$f"; then
+    fail "$f branches on a nil arbiter; every driver holds one (NewDriver gives a private one)"
+  fi
+done
+n=0
+for f in *.go; do
+  case "$f" in *_test.go) continue ;; esac
+  if grep -q 'uvm\.NewDriver(' "$f"; then n=$((n + 1)); fi
+done
+if [ "$n" -ne 1 ]; then
+  fail "uvm.NewDriver( appears in $n non-test root files, want exactly 1 (the one Simulator wiring)"
+fi
+if grep -rqn --include='*.go' --exclude-dir=.bench_build 'type MultiSimulator' .; then
+  fail "type MultiSimulator is back; Simulator serves 1..N devices"
+fi
+
 if [ "$status" -ne 0 ]; then
   exit 1
 fi
