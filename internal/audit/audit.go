@@ -25,8 +25,10 @@
 package audit
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"guvm/internal/digest"
 	"guvm/internal/faultinject"
@@ -159,6 +161,12 @@ type Auditor struct {
 	sumMigrated uint64
 	sumEvicted  uint64
 
+	// dst and owners are the state checks' scratch, refilled and cleared
+	// at every check: the driver snapshot (AuditStateInto) and the
+	// chunk-bijection map. Nothing outlives one check.
+	dst    uvm.AuditState
+	owners map[gpumem.ChunkID]mem.VABlockID
+
 	rep Report
 }
 
@@ -174,6 +182,8 @@ func New(cfg Config, opt Options, eng *sim.Engine, drv *uvm.Driver, dev *gpu.Dev
 		vm:   vm,
 		link: drv.Link(),
 		inj:  inj,
+
+		owners: make(map[gpumem.ChunkID]mem.VABlockID),
 	}
 }
 
@@ -229,11 +239,12 @@ func (a *Auditor) checkBatch(id int, rec *trace.BatchRecord) *ViolationError {
 	if v := a.stamp(CheckBatchRecordParallel(rec, a.drv.Config().ServiceWorkers), id); v != nil {
 		return v
 	}
-	dst := a.drv.AuditState()
-	if v := a.stamp(a.checkDriverState(&dst), id); v != nil {
+	dst := &a.dst
+	a.drv.AuditStateInto(dst)
+	if v := a.stamp(a.checkDriverState(dst), id); v != nil {
 		return v
 	}
-	if v := a.stamp(a.checkEvictions(rec, &dst), id); v != nil {
+	if v := a.stamp(a.checkEvictions(rec, dst), id); v != nil {
 		return v
 	}
 	a.sumMigrated += rec.BytesMigrated
@@ -247,7 +258,7 @@ func (a *Auditor) checkBatch(id int, rec *trace.BatchRecord) *ViolationError {
 	if v := a.stamp(a.checkHardware(&dst.Stats), id); v != nil {
 		return v
 	}
-	if v := a.stamp(a.checkPageConservation(&dst), id); v != nil {
+	if v := a.stamp(a.checkPageConservation(dst), id); v != nil {
 		return v
 	}
 	return nil
@@ -267,8 +278,9 @@ func (a *Auditor) stamp(v *ViolationError, batch int) *ViolationError {
 // it to probe deliberately corrupted systems.
 func (a *Auditor) CheckNow() []*ViolationError {
 	var vs []*ViolationError
-	dst := a.drv.AuditState()
-	if v := a.stamp(a.checkDriverState(&dst), -1); v != nil {
+	dst := &a.dst
+	a.drv.AuditStateInto(dst)
+	if v := a.stamp(a.checkDriverState(dst), -1); v != nil {
 		vs = append(vs, v)
 	}
 	if v := a.stamp(a.checkInjection(&dst.Stats), -1); v != nil {
@@ -277,7 +289,7 @@ func (a *Auditor) CheckNow() []*ViolationError {
 	if v := a.stamp(a.checkHardware(&dst.Stats), -1); v != nil {
 		vs = append(vs, v)
 	}
-	if v := a.stamp(a.checkPageConservation(&dst), -1); v != nil {
+	if v := a.stamp(a.checkPageConservation(dst), -1); v != nil {
 		vs = append(vs, v)
 	}
 	return vs
@@ -486,7 +498,8 @@ func (a *Auditor) checkDriverState(dst *uvm.AuditState) *ViolationError {
 			Detail: fmt.Sprintf("%d chunks in use > capacity %d", dst.ChunksInUse, dst.CapacityBlocks),
 		}
 	}
-	owners := make(map[gpumem.ChunkID]mem.VABlockID, dst.ChunksInUse)
+	owners := a.owners
+	clear(owners)
 	withChunk := 0
 	for i := range dst.Blocks {
 		b := &dst.Blocks[i]
@@ -559,31 +572,24 @@ func (a *Auditor) checkEvictions(rec *trace.BatchRecord, dst *uvm.AuditState) *V
 			Detail: fmt.Sprintf("Evictions = %d but %d evicted blocks recorded", rec.Evictions, len(rec.EvictedBlocks)),
 		}
 	}
-	if len(rec.EvictedBlocks) == 0 {
-		return nil
-	}
-	serviced := make(map[mem.VABlockID]bool, len(rec.ServicedBlocks))
-	for _, bid := range rec.ServicedBlocks {
-		serviced[bid] = true
-	}
-	blocks := make(map[mem.VABlockID]*uvm.BlockAudit, len(dst.Blocks))
-	for i := range dst.Blocks {
-		blocks[dst.Blocks[i].ID] = &dst.Blocks[i]
-	}
 	for _, bid := range rec.EvictedBlocks {
-		if serviced[bid] {
+		if slices.Contains(rec.ServicedBlocks, bid) {
 			// Evicted and serviced in the same batch (last-resort victim
 			// or re-fault): the final state is whatever the later of the
 			// two operations left.
 			continue
 		}
-		b, ok := blocks[bid]
+		// dst.Blocks ascends by ID.
+		i, ok := slices.BinarySearchFunc(dst.Blocks, bid, func(b uvm.BlockAudit, id mem.VABlockID) int {
+			return cmp.Compare(b.ID, id)
+		})
 		if !ok {
 			return &ViolationError{
 				Check:  "eviction-consistency",
 				Detail: fmt.Sprintf("evicted block %d is unknown to the driver", bid),
 			}
 		}
+		b := &dst.Blocks[i]
 		if b.HasChunk || b.Resident.Any() {
 			return &ViolationError{
 				Check: "eviction-consistency",

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -359,5 +360,58 @@ func TestSharedOptionsSkipCrossLayerChecks(t *testing.T) {
 	st.MigRetries = 3 // would trip the single-injector equality
 	if v := a.checkInjection(&st); v != nil {
 		t.Fatalf("Shared did not skip cross-layer check: %v", v)
+	}
+}
+
+// TestStateScratchDoesNotLeak reuses the auditor's scratch (the driver
+// snapshot and the chunk-owner map) across checks: clean checks of a
+// many-block state must stay clean when repeated, and a later corrupted
+// state with fewer blocks, or with two blocks sharing a chunk, must still
+// be reported — no entry left over from an earlier check may hide or
+// fake a violation.
+func TestStateScratchDoesNotLeak(t *testing.T) {
+	a := testSystem(t)
+	const blocks = 8
+	base := a.drv.Alloc(blocks * mem.VABlockSize)
+	if _, err := a.drv.ExplicitCopyToGPU(base, blocks*mem.VABlockSize); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if vs := a.CheckNow(); len(vs) != 0 {
+			t.Fatalf("clean check %d through reused scratch: %v", i, vs[0])
+		}
+	}
+	full := a.drv.AuditState()
+	if len(full.Blocks) < blocks {
+		t.Fatalf("setup: %d blocks known, want >= %d", len(full.Blocks), blocks)
+	}
+	clone := func() uvm.AuditState {
+		st := full
+		st.Blocks = slices.Clone(full.Blocks)
+		st.AllocatedOrder = slices.Clone(full.AllocatedOrder)
+		return st
+	}
+	fewer := clone()
+	fewer.Blocks = fewer.Blocks[:3]
+	shared := clone()
+	shared.Blocks[len(shared.Blocks)-1].Chunk = shared.Blocks[len(shared.Blocks)-2].Chunk
+	for _, tc := range []struct {
+		name  string
+		state uvm.AuditState
+		check string
+	}{
+		{"fewer blocks than chunks in use", fewer, "residency-capacity"},
+		{"two blocks hold one chunk", shared, "chunk-bijection"},
+	} {
+		if v := a.checkDriverState(&full); v != nil {
+			t.Fatalf("%s: clean state before the corrupted one: %v", tc.name, v)
+		}
+		v := a.checkDriverState(&tc.state)
+		if v == nil || v.Check != tc.check {
+			t.Fatalf("%s: got %v, want a %s violation", tc.name, v, tc.check)
+		}
+	}
+	if vs := a.CheckNow(); len(vs) != 0 {
+		t.Fatalf("clean check after the corrupted ones: %v", vs[0])
 	}
 }

@@ -66,21 +66,29 @@ func (d *Device) AuditState() AuditState {
 	return st
 }
 
-// Digest returns the FNV-1a digest of the canonical device state.
+// Digest returns the FNV-1a digest of the canonical device state: the
+// fields of AuditState, in its order, hashed straight from the µTLBs so
+// a snapshot allocates nothing.
 func (d *Device) Digest() uint64 {
-	st := d.AuditState()
 	h := digest.New()
-	h = h.Int(st.BufferLen).Bool(st.Running)
-	h = h.Int(st.LiveBlocks).Int(st.NextBlock).Int(st.NextWarpID)
-	for i := range st.PendingPerUTLB {
-		h = h.Int(st.PendingPerUTLB[i]).Int(st.PrefetchPerUTLB[i])
-		h = h.Int(st.DeferredPerUTLB[i]).Int(st.StalledPerUTLB[i])
+	h = h.Int(d.Buffer.Len()).Bool(d.launched)
+	h = h.Int(d.liveBlocks).Int(d.nextBlock).Int(d.nextWarpID)
+	pending := 0
+	for _, u := range d.utlbs {
+		h = h.Int(len(u.pending)).Int(len(u.prefetchPending))
+		h = h.Int(len(u.deferred)).Int(len(u.stalled))
+		pending += len(u.order) + len(u.prefetchOrder)
 	}
-	h = h.Int(len(st.PendingPages))
-	for _, p := range st.PendingPages {
-		h = h.Uint64(uint64(p))
+	h = h.Int(pending)
+	for _, u := range d.utlbs {
+		for _, p := range u.order {
+			h = h.Uint64(uint64(p))
+		}
+		for _, p := range u.prefetchOrder {
+			h = h.Uint64(uint64(p))
+		}
 	}
-	s := st.Stats
+	s := &d.stats
 	h = h.Int(s.FaultsEmitted).Int(s.DupFaults).Int(s.Refaults)
 	h = h.Int(s.ThrottleStalls).Int(s.UTLBFullStalls).Int(s.BlocksCompleted)
 	h = h.Int(s.InjectedDrops).Int(s.InjectedDropRetries).Int(s.InjectedDropsLost)
@@ -91,7 +99,7 @@ func (d *Device) Digest() uint64 {
 	}
 	// A killed device folds the flag in; live devices keep their
 	// historical digests bit-identical.
-	if st.Killed {
+	if d.killed {
 		h = h.Bool(true)
 	}
 	return h.Sum()

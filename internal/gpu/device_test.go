@@ -3,6 +3,7 @@ package gpu
 import (
 	"testing"
 
+	"guvm/internal/digest"
 	"guvm/internal/mem"
 	"guvm/internal/sim"
 )
@@ -53,7 +54,7 @@ func (f *fakeDriver) loop() {
 	// Emulate the driver's fetch loop draining the buffer while the GPU
 	// is still inserting faults: wait for generation to stall, then read.
 	f.eng.Schedule(f.drainDelay, func() {
-		faults := f.dev.Buffer.Fetch(f.batchSize)
+		faults := f.dev.Buffer.FetchInto(nil, f.batchSize)
 		if len(faults) == 0 {
 			f.sleeping = true
 			return
@@ -427,4 +428,67 @@ func TestFaultsRecordSMOfOrigin(t *testing.T) {
 	if len(sms) != 80 {
 		t.Fatalf("faults from %d SMs, want 80", len(sms))
 	}
+}
+
+// refDeviceDigest is the original Device.Digest, which hashed a fresh
+// AuditState; the direct walk over the µTLBs must match it.
+func refDeviceDigest(st *AuditState) uint64 {
+	h := digest.New()
+	h = h.Int(st.BufferLen).Bool(st.Running)
+	h = h.Int(st.LiveBlocks).Int(st.NextBlock).Int(st.NextWarpID)
+	for i := range st.PendingPerUTLB {
+		h = h.Int(st.PendingPerUTLB[i]).Int(st.PrefetchPerUTLB[i])
+		h = h.Int(st.DeferredPerUTLB[i]).Int(st.StalledPerUTLB[i])
+	}
+	h = h.Int(len(st.PendingPages))
+	for _, p := range st.PendingPages {
+		h = h.Uint64(uint64(p))
+	}
+	s := st.Stats
+	h = h.Int(s.FaultsEmitted).Int(s.DupFaults).Int(s.Refaults)
+	h = h.Int(s.ThrottleStalls).Int(s.UTLBFullStalls).Int(s.BlocksCompleted)
+	h = h.Int(s.InjectedDrops).Int(s.InjectedDropRetries).Int(s.InjectedDropsLost)
+	if s.RemoteAccesses != 0 || s.CounterNotices != 0 {
+		h = h.Int(s.RemoteAccesses).Int(s.CounterNotices)
+	}
+	if st.Killed {
+		h = h.Bool(true)
+	}
+	return h.Sum()
+}
+
+// TestDigestMatchesAuditState steps a run of reads and prefetches and
+// checks Digest against the hash of a fresh AuditState at every step,
+// with faults pending in the µTLBs and after the device is killed.
+func TestDigestMatchesAuditState(t *testing.T) {
+	eng := sim.NewEngine()
+	_, dev := newFakeDriver(eng, smallConfig())
+	dev.LaunchKernel(Kernel{NumBlocks: 6, BlockProgram: func(b int) []Program {
+		first := mem.PageID(b * 300)
+		return []Program{
+			{Read(0, PageRange(first, 40)...), Prefetch(PageRange(first+100, 30)...)},
+			{Read(0, PageRange(first+200, 20)...)},
+		}
+	}}, func() {})
+	check := func(step string) {
+		t.Helper()
+		st := dev.AuditState()
+		if got, want := dev.Digest(), refDeviceDigest(&st); got != want {
+			t.Fatalf("%s: Digest = %#x, AuditState hash %#x", step, got, want)
+		}
+	}
+	sawPending := false
+	for now := sim.Time(0); eng.Pending() > 0; now += 5 * sim.Microsecond {
+		if _, err := eng.RunUntil(now); err != nil {
+			t.Fatal(err)
+		}
+		st := dev.AuditState()
+		sawPending = sawPending || len(st.PendingPages) > 0
+		check("mid-run")
+	}
+	if !sawPending {
+		t.Fatal("setup: no step observed pending faults")
+	}
+	dev.Kill()
+	check("killed")
 }

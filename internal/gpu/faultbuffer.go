@@ -62,18 +62,16 @@ func (b *FaultBuffer) Push(f Fault) bool {
 	return true
 }
 
-// Fetch removes and returns up to max faults in arrival order. This is the
-// driver's batch-formation read: "read faults until the batch size limit
-// is reached or no faults remain" (§2.2).
-func (b *FaultBuffer) Fetch(max int) []Fault {
-	n := len(b.entries)
-	if n > max {
-		n = max
-	}
-	out := make([]Fault, n)
-	copy(out, b.entries[:n])
+// FetchInto removes up to max faults in arrival order and appends them to
+// dst, returning the extended slice. This is the driver's batch-formation
+// read: "read faults until the batch size limit is reached or no faults
+// remain" (§2.2). The caller owns dst, so a driver reuses one batch
+// buffer instead of allocating per drain.
+func (b *FaultBuffer) FetchInto(dst []Fault, max int) []Fault {
+	n := min(len(b.entries), max)
+	dst = append(dst, b.entries[:n]...)
 	b.entries = append(b.entries[:0], b.entries[n:]...)
-	return out
+	return dst
 }
 
 // Flush discards all buffered faults, returning how many were dropped. The

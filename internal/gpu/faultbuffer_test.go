@@ -18,16 +18,41 @@ func TestFaultBufferPushFetch(t *testing.T) {
 	if b.Len() != 5 {
 		t.Fatalf("len = %d", b.Len())
 	}
-	got := b.Fetch(3)
+	got := b.FetchInto(nil, 3)
 	if len(got) != 3 || got[0].Page != 0 || got[2].Page != 2 {
 		t.Fatalf("fetch = %v", got)
 	}
 	if b.Len() != 2 {
 		t.Fatalf("len after fetch = %d", b.Len())
 	}
-	rest := b.Fetch(100)
+	rest := b.FetchInto(nil, 100)
 	if len(rest) != 2 || rest[0].Page != 3 {
 		t.Fatalf("rest = %v", rest)
+	}
+}
+
+// FetchInto appends after the caller's entries and, with room in dst,
+// reads the buffer without allocating.
+func TestFaultBufferFetchIntoAppends(t *testing.T) {
+	b := NewFaultBuffer(10)
+	for i := 0; i < 4; i++ {
+		b.Push(Fault{Page: mem.PageID(i)})
+	}
+	dst := make([]Fault, 1, 16)
+	dst[0].Page = 99
+	dst = b.FetchInto(dst, 3)
+	if len(dst) != 4 || dst[0].Page != 99 || dst[1].Page != 0 || dst[3].Page != 2 {
+		t.Fatalf("FetchInto = %v", dst)
+	}
+	if b.Len() != 1 {
+		t.Fatalf("len after fetch = %d", b.Len())
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		b.Push(Fault{Page: 7})
+		dst = b.FetchInto(dst[:0], 16)
+	})
+	if allocs != 0 {
+		t.Fatalf("FetchInto into a roomy dst allocated %.0f times", allocs)
 	}
 }
 
@@ -79,7 +104,7 @@ func TestFaultBufferFIFO(t *testing.T) {
 		nextOut := 0
 		for _, o := range ops {
 			if o%3 == 0 {
-				got := b.Fetch(int(o%7) + 1)
+				got := b.FetchInto(nil, int(o%7)+1)
 				for _, ft := range got {
 					if ft.Page != mem.PageID(nextOut) {
 						return false
@@ -103,10 +128,12 @@ func TestFaultBufferAccounting(t *testing.T) {
 	f := func(ops []uint8) bool {
 		b := NewFaultBuffer(32)
 		fetched := 0
+		var dst []Fault
 		for i, o := range ops {
 			switch o % 4 {
 			case 0:
-				fetched += len(b.Fetch(3))
+				dst = b.FetchInto(dst[:0], 3)
+				fetched += len(dst)
 			case 1:
 				b.Flush()
 			default:

@@ -58,22 +58,31 @@ func (vm *VM) AuditState() AuditState {
 	return st
 }
 
-// Digest returns the FNV-1a digest of the canonical host VM state. Two
-// runs of the same configuration must produce identical digests at every
-// batch boundary.
+// Digest returns the FNV-1a digest of the canonical host VM state: the
+// fields of AuditState, in its order, hashed straight from the mapping
+// directory so a snapshot allocates nothing. Two runs of the same
+// configuration must produce identical digests at every batch boundary.
 func (vm *VM) Digest() uint64 {
-	st := vm.AuditState()
+	live := 0
+	vm.mapped.Range(func(_ mem.VABlockID, bm *blockMapping) bool {
+		if bm.pages.Any() {
+			live++
+		}
+		return true
+	})
 	h := digest.New()
-	h = h.Int(len(st.Mappings))
-	for i := range st.Mappings {
-		m := &st.Mappings[i]
-		h = h.Uint64(uint64(m.Block))
-		h = h.Words(m.Pages[:])
-		h = h.Uint64(m.Threads)
-	}
-	h = h.Int(st.RadixNodes)
-	h = h.Uint64(st.DMANext)
-	s := st.Stats
+	h = h.Int(live)
+	vm.mapped.Range(func(b mem.VABlockID, bm *blockMapping) bool {
+		if bm.pages.Any() {
+			h = h.Uint64(uint64(b))
+			h = h.Words(bm.pages[:])
+			h = h.Uint64(bm.threads)
+		}
+		return true
+	})
+	h = h.Int(vm.dma.Nodes())
+	h = h.Uint64(vm.dmaNext)
+	s := &vm.stats
 	h = h.Int(s.UnmapCalls).Int(s.PagesUnmapped).Int(s.PagesPopulated)
 	h = h.Int(s.DMAPagesMapped).Int(s.RadixNodes).Int(s.PopulateFailures)
 	h = h.Int64(int64(s.UnmapTime)).Int64(int64(s.PopulateTime)).Int64(int64(s.DMAMapTime))

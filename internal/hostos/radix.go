@@ -18,12 +18,20 @@ const (
 	radixMask   = radixFanout - 1
 )
 
+// radixNode is one tree node. Interior nodes fill child, leaf nodes (the
+// bottom level) fill val; used marks the occupied slots either way.
+// Values are stored unboxed, so inserting into an existing leaf
+// allocates nothing.
 type radixNode struct {
-	slots  [radixFanout]any // child *radixNode or leaf value
-	count  int              // occupied slots
-	offset int              // slot index in parent (for delete path)
+	child  [radixFanout]*radixNode
+	val    [radixFanout]uint64
+	used   uint64 // occupied-slot bitmap
+	offset int    // slot index in parent (for delete path)
 	parent *radixNode
 }
+
+// has reports whether slot idx is occupied.
+func (n *radixNode) has(idx int) bool { return n.used&(1<<uint(idx)) != 0 }
 
 // RadixTree is a Linux-style radix tree keyed by uint64 (page indices in
 // the driver's usage) storing uint64 values (DMA addresses). The driver
@@ -73,8 +81,8 @@ func (t *RadixTree) Insert(key, value uint64) (newNodes int) {
 		newRoot := &radixNode{}
 		t.nodes++
 		newNodes++
-		newRoot.slots[0] = t.root
-		newRoot.count = 1
+		newRoot.child[0] = t.root
+		newRoot.used = 1
 		t.root.parent = newRoot
 		t.root.offset = 0
 		t.root = newRoot
@@ -83,24 +91,22 @@ func (t *RadixTree) Insert(key, value uint64) (newNodes int) {
 	n := t.root
 	for level := t.height - 1; level > 0; level-- {
 		idx := int(key>>(uint(level)*radixShift)) & radixMask
-		child, ok := n.slots[idx].(*radixNode)
-		if !ok {
-			if n.slots[idx] == nil {
-				n.count++
-			}
+		child := n.child[idx]
+		if child == nil {
 			child = &radixNode{parent: n, offset: idx}
 			t.nodes++
 			newNodes++
-			n.slots[idx] = child
+			n.child[idx] = child
+			n.used |= 1 << uint(idx)
 		}
 		n = child
 	}
 	idx := int(key) & radixMask
-	if n.slots[idx] == nil {
-		n.count++
+	if !n.has(idx) {
+		n.used |= 1 << uint(idx)
 		t.size++
 	}
-	n.slots[idx] = value
+	n.val[idx] = value
 	return newNodes
 }
 
@@ -111,15 +117,13 @@ func (t *RadixTree) Lookup(key uint64) (uint64, bool) {
 	}
 	n := t.root
 	for level := t.height - 1; level > 0; level-- {
-		idx := int(key>>(uint(level)*radixShift)) & radixMask
-		child, ok := n.slots[idx].(*radixNode)
-		if !ok {
+		n = n.child[int(key>>(uint(level)*radixShift))&radixMask]
+		if n == nil {
 			return 0, false
 		}
-		n = child
 	}
-	v, ok := n.slots[int(key)&radixMask].(uint64)
-	return v, ok
+	idx := int(key) & radixMask
+	return n.val[idx], n.has(idx)
 }
 
 // Delete removes key and returns whether it was present. Empty nodes are
@@ -130,25 +134,23 @@ func (t *RadixTree) Delete(key uint64) bool {
 	}
 	n := t.root
 	for level := t.height - 1; level > 0; level-- {
-		idx := int(key>>(uint(level)*radixShift)) & radixMask
-		child, ok := n.slots[idx].(*radixNode)
-		if !ok {
+		n = n.child[int(key>>(uint(level)*radixShift))&radixMask]
+		if n == nil {
 			return false
 		}
-		n = child
 	}
 	idx := int(key) & radixMask
-	if _, ok := n.slots[idx].(uint64); !ok {
+	if !n.has(idx) {
 		return false
 	}
-	n.slots[idx] = nil
-	n.count--
+	n.val[idx] = 0
+	n.used &^= 1 << uint(idx)
 	t.size--
 	// Free empty nodes up the spine.
-	for n != nil && n.count == 0 && n != t.root {
+	for n != nil && n.used == 0 && n != t.root {
 		parent := n.parent
-		parent.slots[n.offset] = nil
-		parent.count--
+		parent.child[n.offset] = nil
+		parent.used &^= 1 << uint(n.offset)
 		t.nodes--
 		n = parent
 	}

@@ -8,7 +8,9 @@ import (
 // FuzzRadixTree drives the radix tree through an arbitrary op sequence and
 // cross-checks it against a map oracle, asserting the structural
 // invariants (size, node count, height/keyspace consistency) that the
-// driver's DMA-mapping cost model and the new error paths rely on.
+// driver's DMA-mapping cost model and the new error paths rely on. A
+// reference tree (radix_ref_test.go) runs the same ops: Insert's newNodes,
+// Nodes() and Height() price DMA mapping, so they must match it exactly.
 //
 // The input encodes operations as 9-byte records: 1 op byte (insert /
 // lookup / delete, mod 3) followed by an 8-byte little-endian key. Keys
@@ -40,6 +42,7 @@ func FuzzRadixTree(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tree RadixTree
+		var ref refTree
 		oracle := make(map[uint64]uint64)
 		var nextVal uint64
 		for len(data) >= 9 {
@@ -58,6 +61,9 @@ func FuzzRadixTree(f *testing.F) {
 				if newNodes < 0 {
 					t.Fatalf("Insert(%d) allocated %d nodes", key, newNodes)
 				}
+				if want := ref.Insert(key, nextVal); newNodes != want {
+					t.Fatalf("Insert(%d) allocated %d nodes, reference %d", key, newNodes, want)
+				}
 				oracle[key] = nextVal
 			case 1:
 				v, ok := tree.Lookup(key)
@@ -67,6 +73,7 @@ func FuzzRadixTree(f *testing.F) {
 				}
 			case 2:
 				ok := tree.Delete(key)
+				ref.Delete(key)
 				_, wantOK := oracle[key]
 				if ok != wantOK {
 					t.Fatalf("Delete(%d) = %v, oracle has key: %v", key, ok, wantOK)
@@ -82,6 +89,10 @@ func FuzzRadixTree(f *testing.F) {
 			}
 			if tree.Size() > 0 && tree.Nodes() < tree.Height() {
 				t.Fatalf("nodes (%d) < height (%d): broken spine", tree.Nodes(), tree.Height())
+			}
+			if tree.Nodes() != ref.Nodes() || tree.Height() != ref.Height() {
+				t.Fatalf("nodes/height = %d/%d, reference %d/%d",
+					tree.Nodes(), tree.Height(), ref.Nodes(), ref.Height())
 			}
 		}
 		// Final sweep: every oracle key must still resolve.

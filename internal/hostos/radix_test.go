@@ -204,3 +204,71 @@ func TestRadixNodeAccounting(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Inserting a new key into a leaf that already exists allocates nothing
+// and reports no new nodes: values are stored unboxed in the leaf.
+func TestRadixInsertIntoLeafAllocatesNothing(t *testing.T) {
+	var tr RadixTree
+	tr.Insert(0, 1)
+	tr.Insert(1<<20, 2) // grow to four levels
+	key := uint64(0)
+	allocs := testing.AllocsPerRun(50, func() {
+		key++ // keys 1..51 all land in key 0's leaf
+		if n := tr.Insert(key, key); n != 0 {
+			t.Fatalf("Insert(%d) into an existing leaf allocated %d nodes", key, n)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Insert into an existing leaf made %.0f allocations", allocs)
+	}
+	if tr.Size() != 2+51 {
+		t.Fatalf("size = %d, want %d", tr.Size(), 2+51)
+	}
+}
+
+// Insert's newNodes, Nodes() and Height() match the reference tree while
+// a seeded mix of dense and sparse keys is inserted, then deleted in
+// shuffled order until a few remain, so whole subtrees empty out and
+// interior nodes are freed: these are the counts DMA-mapping cost is
+// priced from.
+func TestRadixNodesMatchReference(t *testing.T) {
+	var tr RadixTree
+	var ref refTree
+	rng := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	check := func(op string, i int) {
+		t.Helper()
+		if tr.Nodes() != ref.Nodes() || tr.Height() != ref.Height() || tr.Size() != ref.Size() {
+			t.Fatalf("%s %d: nodes/height/size = %d/%d/%d, reference %d/%d/%d", op, i,
+				tr.Nodes(), tr.Height(), tr.Size(), ref.Nodes(), ref.Height(), ref.Size())
+		}
+	}
+	var keys []uint64
+	for i := 0; i < 3000; i++ {
+		r := next()
+		key := r % 20000
+		if r%5 == 0 {
+			key = r >> 20 // sparse keys force growth
+		}
+		keys = append(keys, key)
+		if got, want := tr.Insert(key, uint64(i)), ref.Insert(key, uint64(i)); got != want {
+			t.Fatalf("insert %d: Insert(%d) allocated %d nodes, reference %d", i, key, got, want)
+		}
+		check("insert", i)
+	}
+	for i := len(keys) - 1; i > 0; i-- {
+		j := int(next() % uint64(i+1))
+		keys[i], keys[j] = keys[j], keys[i]
+	}
+	for i, key := range keys[:len(keys)-10] {
+		if tr.Delete(key) != ref.Delete(key) {
+			t.Fatalf("delete %d: Delete(%d) disagrees with the reference", i, key)
+		}
+		check("delete", i)
+	}
+}

@@ -8,15 +8,17 @@ import (
 
 // TestBatchServiceAllocGuard pins the hot-path allocation diet: with no
 // batch observers attached (the default), BenchmarkBatchService must
-// allocate what the BENCH_pr13.json freeze recorded — the level after
-// the per-instant event queue, the struct-of-arrays dedup stage, and
-// the pooled GPU event path. A regression here means map churn or
-// per-event allocation leaked back into the batch-service path.
+// allocate what the BENCH_pr15.json freeze recorded — the level after
+// the per-instant event queue, the struct-of-arrays dedup stage, the
+// pooled GPU event path, the per-block page buffers of the warp
+// programs, the reused batch-fault buffer and the unboxed radix tree. A
+// regression here means map churn or per-event allocation leaked back
+// into the batch-service path.
 func TestBatchServiceAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard runs the batch-service benchmark; skipped in -short")
 	}
-	raw, err := os.ReadFile("../../BENCH_pr13.json")
+	raw, err := os.ReadFile("../../BENCH_pr15.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +32,7 @@ func TestBatchServiceAllocGuard(t *testing.T) {
 	}
 	baseline := doc.Measured["BenchmarkBatchService"].AllocsPerOp
 	if baseline <= 0 {
-		t.Fatal("BENCH_pr13.json has no measured BenchmarkBatchService allocs_per_op")
+		t.Fatal("BENCH_pr15.json has no measured BenchmarkBatchService allocs_per_op")
 	}
 
 	res := testing.Benchmark(BenchmarkBatchService)

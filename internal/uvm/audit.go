@@ -63,7 +63,19 @@ func (d *Driver) ChunkOwner(id gpumem.ChunkID) (mem.VABlockID, bool) {
 
 // AuditState captures the canonical driver state for auditing.
 func (d *Driver) AuditState() AuditState {
-	st := AuditState{
+	st := AuditState{Blocks: make([]BlockAudit, 0, d.blocks.Len())}
+	d.AuditStateInto(&st)
+	return st
+}
+
+// AuditStateInto refills st with the canonical driver state, reusing the
+// capacity of its Blocks and AllocatedOrder slices: an auditor checking
+// every batch keeps one AuditState as scratch instead of allocating a
+// fresh snapshot per batch. The refilled slices are valid until the next
+// refill.
+func (d *Driver) AuditStateInto(st *AuditState) {
+	blocks, order := st.Blocks[:0], st.AllocatedOrder[:0]
+	*st = AuditState{
 		ChunksInUse:    d.pmm.InUse(),
 		CapacityBlocks: d.cfg.CapacityBlocks(),
 		EffBatch:       d.effBatch,
@@ -74,11 +86,10 @@ func (d *Driver) AuditState() AuditState {
 		Dead:           d.dead,
 		Stats:          d.stats,
 	}
-	st.Blocks = make([]BlockAudit, 0, d.blocks.Len())
 	// BlockDir ranges in ascending ID order — exactly the canonical
 	// order the former sorted-keys walk produced.
 	d.blocks.Range(func(_ mem.VABlockID, b *blockState) bool {
-		st.Blocks = append(st.Blocks, BlockAudit{
+		blocks = append(blocks, BlockAudit{
 			ID:           b.id,
 			Resident:     b.resident,
 			Populated:    b.populated,
@@ -93,41 +104,42 @@ func (d *Driver) AuditState() AuditState {
 		return true
 	})
 	for _, b := range d.allocated {
-		st.AllocatedOrder = append(st.AllocatedOrder, b.id)
+		order = append(order, b.id)
 	}
-	return st
+	st.Blocks, st.AllocatedOrder = blocks, order
 }
 
-// Digest returns the FNV-1a digest of the canonical driver state.
+// Digest returns the FNV-1a digest of the canonical driver state: the
+// fields of AuditState, in its order, hashed straight from the block
+// directory so a snapshot allocates nothing.
 func (d *Driver) Digest() uint64 {
-	st := d.AuditState()
 	h := digest.New()
-	h = h.Int(len(st.Blocks))
-	for i := range st.Blocks {
-		b := &st.Blocks[i]
-		h = h.Uint64(uint64(b.ID))
-		h = h.Words(b.Resident[:])
-		h = h.Words(b.Populated[:])
-		h = h.Bool(b.HasChunk)
-		if b.HasChunk {
-			h = h.Int(int(b.Chunk))
+	h = h.Int(d.blocks.Len())
+	d.blocks.Range(func(_ mem.VABlockID, b *blockState) bool {
+		h = h.Uint64(uint64(b.id))
+		h = h.Words(b.resident[:])
+		h = h.Words(b.populated[:])
+		h = h.Bool(b.hasChunk)
+		if b.hasChunk {
+			h = h.Int(int(b.chunk))
 		}
-		h = h.Bool(b.DMAMapped)
-		h = h.Int(b.LastTouch).Int(b.AllocSeq).Int(b.Evictions)
+		h = h.Bool(b.dmaMapped)
+		h = h.Int(b.lastTouch).Int(b.allocSeq).Int(b.evictions)
 		// Remote mappings fold in only when present, keeping host-driven
 		// digests bit-identical to their pre-lift goldens.
-		if b.RemoteMapped.Any() {
-			h = h.Words(b.RemoteMapped[:])
+		if b.remoteMapped.Any() {
+			h = h.Words(b.remoteMapped[:])
 		}
+		return true
+	})
+	h = h.Int(len(d.allocated))
+	for _, b := range d.allocated {
+		h = h.Uint64(uint64(b.id))
 	}
-	h = h.Int(len(st.AllocatedOrder))
-	for _, id := range st.AllocatedOrder {
-		h = h.Uint64(uint64(id))
-	}
-	h = h.Int(st.ChunksInUse).Int(st.CapacityBlocks)
-	h = h.Int(st.EffBatch).Int(st.BatchCount).Int(st.NextSeq)
-	h = h.Bool(st.Sleeping).Bool(st.InBatch)
-	s := st.Stats
+	h = h.Int(d.pmm.InUse()).Int(d.cfg.CapacityBlocks())
+	h = h.Int(d.effBatch).Int(d.batchCount).Int(d.nextSeq)
+	h = h.Bool(d.sleeping).Bool(d.inBatch)
+	s := &d.stats
 	h = h.Int(s.Batches).Int(s.TotalFaults).Int(s.StaleFaults).Int(s.Evictions)
 	h = h.Int(s.PrefetchedPages).Int(s.CrossBlockPages).Int(s.MigratedPages)
 	h = h.Int(s.WakeUps).Int(s.SpuriousWakeUps)
@@ -142,7 +154,7 @@ func (d *Driver) Digest() uint64 {
 	// Hardware fault-domain state folds in only when the domain is
 	// attached, so default runs keep their historical digests.
 	if d.hw != nil {
-		h = h.Bool(st.Dead)
+		h = h.Bool(d.dead)
 		h = h.Int(s.HWLinkRetries).Int(s.DegradedShrinks)
 		h = h.Uint64(s.HWRetryToGPUBytes).Uint64(s.HWRetryToHostBytes)
 		h = h.Int(s.RehomedBlocks).Int(s.RehomedPages).Uint64(s.RehomedBytes)

@@ -146,10 +146,12 @@ type batchScratch struct {
 	inBatchExtra []mem.VABlockID
 	blockCosts   []sim.Time
 	// pageIdx/migrate/spans are the transfer step's migration staging;
-	// evictPages/evictSpans are evictOne's writeback staging.
+	// candidates/evictPages/evictSpans are evictOne's victim list and
+	// writeback staging.
 	pageIdx    []int
 	migrate    []mem.PageID
 	spans      []mem.Span
+	candidates []int
 	evictPages []mem.PageID
 	evictSpans []mem.Span
 }
@@ -219,10 +221,15 @@ type Driver struct {
 
 	// arbiter serializes batch servicing with every other driver sharing
 	// the host. NewDriver gives each driver a private, uncontended one;
-	// SetArbiter replaces it with a system's shared one. beginBatchFn is
-	// beginBatch bound once, so arbitration allocates nothing per batch.
+	// SetArbiter replaces it with a system's shared one. The *Fn fields
+	// are the batch loop's continuations (wake-up, arbitration, fetch,
+	// replay) bound once, so scheduling them allocates nothing per batch.
 	arbiter      *Arbiter
+	startBatchFn func()
 	beginBatchFn func()
+	fetchLoopFn  func()
+	fetchDoneFn  func()
+	endBatchFn   func()
 
 	// onBatch holds the observers of every completed batch (audit and
 	// observability hooks). They run in registration order after the
@@ -283,7 +290,8 @@ func NewDriver(cfg Config, eng *sim.Engine, vm *hostos.VM, link *interconnect.Li
 		arbiter:   NewArbiter(eng),
 		Collector: &trace.Collector{},
 	}
-	d.beginBatchFn = d.beginBatch
+	d.startBatchFn, d.beginBatchFn = d.startBatch, d.beginBatch
+	d.fetchLoopFn, d.fetchDoneFn, d.endBatchFn = d.fetchLoop, d.fetchDone, d.endBatch
 	return d, nil
 }
 

@@ -46,6 +46,12 @@ import (
 // batchCtx carries one batch through the pipeline: the raw faults and
 // fetch cost from the async front-end, the record under construction,
 // the accumulated virtual-time cost, and the pooled scratch.
+//
+// faults is the driver's batch-fault buffer: beginBatch empties it, the
+// fetch loop appends each drain installment, and it stays valid until
+// the batch ends (the replay completion callback). Whatever outlives the
+// batch copies it — the Collector's fault log and the profiler's page
+// list both do.
 type batchCtx struct {
 	start  sim.Time
 	faults []gpu.Fault
@@ -90,19 +96,17 @@ type blockStep interface {
 // architecture (arch.go) declares them, and the driver dispatches through
 // d.arch. Stages stay stateless singletons shared by every driver.
 
-// serviceBatch runs the batch through the stage pipeline. It is entered
-// from the fetch front-end with the engine clock at batch start +
-// BatchSetup + tFetch; the replay stage schedules the remainder of the
-// batch's virtual cost.
-func (d *Driver) serviceBatch(start sim.Time, faults []gpu.Fault, tFetch sim.Time) {
+// serviceBatch runs the batch the fetch front-end collected in d.batch
+// through the stage pipeline. It is entered with the engine clock at
+// batch start + BatchSetup + tFetch; the replay stage schedules the
+// remainder of the batch's virtual cost.
+func (d *Driver) serviceBatch() {
 	bc := &d.batch
-	bc.start = start
-	bc.faults = faults
-	bc.tFetch = tFetch
+	start, faults := bc.start, bc.faults
 	bc.rec = trace.BatchRecord{
 		Start:     start,
 		RawFaults: len(faults),
-		TFetch:    tFetch,
+		TFetch:    bc.tFetch,
 	}
 	if d.dev != nil {
 		bc.rec.FaultsPerSM = make([]uint16, d.dev.Config().NumSMs)

@@ -67,7 +67,8 @@ func (e *UnknownPolicyError) Unwrap() error { return ErrUnknownPolicy }
 // receives the candidate indices into the driver's allocation-ordered
 // block list (never empty) and returns the chosen one. Implementations
 // must be deterministic given the driver state (EvictRandom draws from
-// the driver's seeded RNG).
+// the driver's seeded RNG). candidates is driver scratch, valid only for
+// the call.
 type EvictionStrategy interface {
 	Pick(d *Driver, candidates []int) int
 }

@@ -24,31 +24,37 @@ func (replayStage) run(d *Driver, bc *batchCtx) error {
 	bc.rec.TReplay = d.cfg.Costs.ReplayCost
 	bc.total += bc.rec.TReplay
 
-	d.eng.Schedule(bc.total-bc.tFetch-d.cfg.Costs.BatchSetup, func() {
-		d.dev.Buffer.Flush()
-		d.dev.Replay()
-		bc.rec.End = d.eng.Now()
-		id := d.Collector.AddBatch(bc.rec)
-		d.Collector.AddFaults(id, bc.faults)
-		d.sizer.Update(d, &bc.rec)
-		d.batchCount++
-		d.stats.Batches++
-		d.stats.TotalFaults += len(bc.faults)
-		d.inBatch = false
-		d.arbiter.Release()
-		if d.prof != nil {
-			// Before the observers: profiler-derived metrics must be
-			// current when the obs sampler reads the registry.
-			d.prof.EndBatch(id, &d.Collector.Batches[id])
-		}
-		for _, fn := range d.onBatch {
-			fn(id, &d.Collector.Batches[id])
-		}
-		// Service the next batch if faults are already waiting;
-		// otherwise sleep until the next interrupt.
-		d.startBatch()
-	})
+	d.eng.Schedule(bc.total-bc.tFetch-d.cfg.Costs.BatchSetup, d.endBatchFn)
 	return nil
+}
+
+// endBatch completes the batch once its virtual cost has elapsed: flush
+// the buffer, issue the replay, land the record, and run the sizer and
+// observers.
+func (d *Driver) endBatch() {
+	bc := &d.batch
+	d.dev.Buffer.Flush()
+	d.dev.Replay()
+	bc.rec.End = d.eng.Now()
+	id := d.Collector.AddBatch(bc.rec)
+	d.Collector.AddFaults(id, bc.faults)
+	d.sizer.Update(d, &bc.rec)
+	d.batchCount++
+	d.stats.Batches++
+	d.stats.TotalFaults += len(bc.faults)
+	d.inBatch = false
+	d.arbiter.Release()
+	if d.prof != nil {
+		// Before the observers: profiler-derived metrics must be
+		// current when the obs sampler reads the registry.
+		d.prof.EndBatch(id, &d.Collector.Batches[id])
+	}
+	for _, fn := range d.onBatch {
+		fn(id, &d.Collector.Batches[id])
+	}
+	// Service the next batch if faults are already waiting;
+	// otherwise sleep until the next interrupt.
+	d.startBatch()
 }
 
 // fixedSizer keeps the effective batch size at the configured maximum

@@ -163,8 +163,9 @@ func (d *Driver) hasEvictionCandidate(current mem.VABlockID) bool {
 // re-fault), and the block currently allocating is never evicted; if
 // that leaves no victim, the error wraps ErrCapacityExhausted.
 func (d *Driver) evictOne(current mem.VABlockID, bc *batchCtx) (sim.Time, error) {
+	sc := bc.sc
 	pick := func(avoidBatch bool) (*blockState, int) {
-		var candidates []int
+		candidates := sc.candidates[:0]
 		for i, b := range d.allocated {
 			if b.id == current {
 				continue
@@ -174,6 +175,7 @@ func (d *Driver) evictOne(current mem.VABlockID, bc *batchCtx) (sim.Time, error)
 			}
 			candidates = append(candidates, i)
 		}
+		sc.candidates = candidates
 		if len(candidates) == 0 {
 			return nil, -1
 		}
@@ -190,7 +192,6 @@ func (d *Driver) evictOne(current mem.VABlockID, bc *batchCtx) (sim.Time, error)
 	}
 
 	cost := d.cfg.Costs.EvictBase
-	sc := bc.sc
 	sc.evictPages = victim.resident.Pages(sc.evictPages[:0], victim.id)
 	if len(sc.evictPages) > 0 {
 		// Write back resident pages to the host. The data lands in

@@ -70,7 +70,11 @@ func (transferStep) run(d *Driver, bc *batchCtx, blk *blockCtx) error {
 	rec.PagesMigrated += len(migrating)
 	rec.BytesMigrated += uint64(len(migrating)) * mem.PageSize
 	d.stats.MigratedPages += len(migrating)
-	rec.ServicedSpans = append(rec.ServicedSpans, spans...)
+	if d.Collector.KeepSpans {
+		// The Collector drops spans it is not asked to keep, so only
+		// build them when they will be retained.
+		rec.ServicedSpans = append(rec.ServicedSpans, spans...)
+	}
 	if blk.eager {
 		// Cross-block migrations account their pages as prefetched and
 		// record the block as serviced (it had no faults of its own).

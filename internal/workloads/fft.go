@@ -76,7 +76,8 @@ func (w *FFT) Phases(bases []mem.Addr) []Phase {
 				if lo >= hi {
 					return nil
 				}
-				var prog gpu.Program
+				buf := newPageBuf(4 * (hi - lo))
+				prog := newProgram(5 * chunks(hi-lo, chunk))
 				for i := lo; i < hi; i += chunk {
 					n := chunk
 					if i+n > hi {
@@ -85,11 +86,11 @@ func (w *FFT) Phases(bases []mem.Addr) []Phase {
 					loIdx := mem.PageID(i % stride)
 					base := mem.PageID(i/stride) * mem.PageID(stride) * 2
 					prog = append(prog,
-						gpu.Read(0, gpu.PageRange(src+base+loIdx, n)...),
-						gpu.Read(1, gpu.PageRange(src+base+loIdx+mem.PageID(stride), n)...),
-						gpu.Compute(w.ComputePerChunk, 0, 1),
-						gpu.Write(nil, gpu.PageRange(dst+mem.PageID(2*i), n)...),
-						gpu.Write(nil, gpu.PageRange(dst+mem.PageID(2*i)+mem.PageID(n), n)...),
+						gpu.Read(0, buf.run(src+base+loIdx, n)...),
+						gpu.Read(1, buf.run(src+base+loIdx+mem.PageID(stride), n)...),
+						gpu.Compute(w.ComputePerChunk, deps01...),
+						gpu.Write(nil, buf.run(dst+mem.PageID(2*i), n)...),
+						gpu.Write(nil, buf.run(dst+mem.PageID(2*i)+mem.PageID(n), n)...),
 					)
 				}
 				return []gpu.Program{prog}

@@ -61,16 +61,45 @@ func (w *GEMM) Allocs() []Alloc {
 	}
 }
 
-// panelPages returns the distinct pages of the sub-matrix
-// rows [r0, r0+nr) x cols [c0, c0+nc) of the row-major matrix at base.
-func (w *GEMM) panelPages(base mem.Addr, r0, nr, c0, nc int) []mem.PageID {
+// rowSpan returns the page run of row r's columns [c0, c0+nc) of the
+// row-major matrix at base.
+func (w *GEMM) rowSpan(base mem.Addr, r, c0, nc int) (mem.PageID, int) {
 	rowBytes := uint64(w.N) * uint64(w.Elem)
-	var pages []mem.PageID
+	off := uint64(r)*rowBytes + uint64(c0)*uint64(w.Elem)
+	return byteSpan(base, off, uint64(nc)*uint64(w.Elem))
+}
+
+// panelLen returns the length of the list panel carves, without carving.
+func (w *GEMM) panelLen(base mem.Addr, r0, nr, c0, nc int) int {
+	total := 0
+	var last mem.PageID
 	for r := r0; r < r0+nr; r++ {
-		off := uint64(r)*rowBytes + uint64(c0)*uint64(w.Elem)
-		pages = append(pages, pagesIn(base, off, uint64(nc)*uint64(w.Elem))...)
+		first, n := w.rowSpan(base, r, c0, nc)
+		end := first + mem.PageID(n) - 1
+		if total > 0 && first == last {
+			n--
+		}
+		total += n
+		last = end
 	}
-	return dedupPages(pages)
+	return total
+}
+
+// panel carves the distinct pages of the sub-matrix rows [r0, r0+nr) x
+// cols [c0, c0+nc) of the row-major matrix at base, ascending. Each row
+// starts past the previous row's end, so rows ascend and only a row's
+// first page can repeat the page before it: skipping that repeat yields
+// the sorted distinct set.
+func (w *GEMM) panel(buf *pageBuf, base mem.Addr, r0, nr, c0, nc int) []mem.PageID {
+	lo := buf.mark()
+	for r := r0; r < r0+nr; r++ {
+		first, n := w.rowSpan(base, r, c0, nc)
+		if len(*buf) > lo && (*buf)[len(*buf)-1] == first {
+			first, n = first+1, n-1
+		}
+		buf.run(first, n)
+	}
+	return buf.since(lo)
 }
 
 // Phases implements Workload.
@@ -81,45 +110,49 @@ func (w *GEMM) Phases(bases []mem.Addr) []Phase {
 	a, b, c := bases[0], bases[1], bases[2]
 	tiles := w.N / w.Tile
 	nblocks := tiles * tiles
+	t := w.Tile
 	return []Phase{{
 		Name: w.Name(),
 		Kernel: gpu.Kernel{NumBlocks: nblocks, BlockProgram: func(blk int) []gpu.Program {
 			ti := blk / tiles // tile row
 			tj := blk % tiles // tile col
-			var prog gpu.Program
+			pages, ops := w.panelLen(c, ti*t, t, tj*t, t), 1
 			for k := 0; k < tiles; k++ {
-				aPages := w.panelPages(a, ti*w.Tile, w.Tile, k*w.Tile, w.Tile)
-				bPages := w.panelPages(b, k*w.Tile, w.Tile, tj*w.Tile, w.Tile)
+				na := w.panelLen(a, ti*t, t, k*t, t)
+				nb := w.panelLen(b, k*t, t, tj*t, t)
+				pages += na + nb
+				ops += chunks(na, w.ChunkPages) + chunks(nb, w.ChunkPages) + chunks(max(na, nb), w.ChunkPages)
+			}
+			buf := newPageBuf(pages)
+			prog := newProgram(ops)
+			for k := 0; k < tiles; k++ {
+				aPages := w.panel(&buf, a, ti*t, t, k*t, t)
+				bPages := w.panel(&buf, b, k*t, t, tj*t, t)
 				// Stage the panels chunk by chunk: each chunk's loads
 				// must land before the dependent math lets the next
 				// chunk issue (shared-memory double-buffer pacing).
-				n := len(aPages)
-				if len(bPages) > n {
-					n = len(bPages)
-				}
+				n := max(len(aPages), len(bPages))
 				for lo := 0; lo < n; lo += w.ChunkPages {
 					hi := lo + w.ChunkPages
-					op := gpu.Compute(w.ComputePerChunk)
+					var deps []int
 					if lo < len(aPages) {
-						ha := hi
-						if ha > len(aPages) {
-							ha = len(aPages)
-						}
-						prog = append(prog, gpu.Read(0, aPages[lo:ha]...))
-						op.Deps = append(op.Deps, 0)
+						ha := min(hi, len(aPages))
+						prog = append(prog, gpu.Read(0, aPages[lo:ha:ha]...))
+						deps = deps0
 					}
 					if lo < len(bPages) {
-						hb := hi
-						if hb > len(bPages) {
-							hb = len(bPages)
+						hb := min(hi, len(bPages))
+						prog = append(prog, gpu.Read(1, bPages[lo:hb:hb]...))
+						if deps == nil {
+							deps = deps1
+						} else {
+							deps = deps01
 						}
-						prog = append(prog, gpu.Read(1, bPages[lo:hb]...))
-						op.Deps = append(op.Deps, 1)
 					}
-					prog = append(prog, op)
+					prog = append(prog, gpu.Compute(w.ComputePerChunk, deps...))
 				}
 			}
-			cPages := w.panelPages(c, ti*w.Tile, w.Tile, tj*w.Tile, w.Tile)
+			cPages := w.panel(&buf, c, ti*t, t, tj*t, t)
 			prog = append(prog, gpu.Write(nil, cPages...))
 			return []gpu.Program{prog}
 		}},

@@ -76,15 +76,23 @@ func (w *Replay) Phases(bases []mem.Addr) []Phase {
 	return []Phase{{
 		Name: "replay",
 		Kernel: gpu.Kernel{NumBlocks: maxBlock + 1, BlockProgram: func(blk int) []gpu.Program {
-			var prog gpu.Program
-			for _, op := range perBlock[blk] {
+			ops := perBlock[blk]
+			pages := 0
+			for _, op := range ops {
+				if op.Kind != "c" {
+					pages += int(op.Count)
+				}
+			}
+			buf := newPageBuf(pages)
+			prog := newProgram(len(ops))
+			for _, op := range ops {
 				switch op.Kind {
 				case "c":
-					prog = append(prog, gpu.Compute(sim.Time(op.Count), 0))
+					prog = append(prog, gpu.Compute(sim.Time(op.Count), deps0...))
 					continue
 				}
 				base := mem.PageOf(bases[op.Alloc]) + mem.PageID(op.Page)
-				pages := gpu.PageRange(base, int(op.Count))
+				pages := buf.run(base, int(op.Count))
 				switch op.Kind {
 				case "r":
 					prog = append(prog, gpu.Read(0, pages...))

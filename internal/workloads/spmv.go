@@ -86,7 +86,17 @@ func (w *SpMV) Phases(bases []mem.Addr) []Phase {
 			if r1 > w.Rows {
 				r1 = w.Rows
 			}
-			var prog gpu.Program
+			steps := 0
+			if r0 < r1 {
+				steps = chunks(r1-r0, w.ChunkRows)
+			}
+			// Per step: value and column pages (each at most one more
+			// than the chunk's bytes fill), up to 8 gathers, y pages.
+			chunkNnzBytes := uint64(w.ChunkRows) * uint64(w.NnzPerRow) * spmvValBytes
+			perStep := 2*(int(chunkNnzBytes/mem.PageSize)+2) + 8 +
+				int(uint64(w.ChunkRows)*spmvVecBytes/mem.PageSize) + 2
+			buf := newPageBuf(steps * perStep)
+			prog := newProgram(5 * steps)
 			for r := r0; r < r1; r += w.ChunkRows {
 				rows := w.ChunkRows
 				if r+rows > r1 {
@@ -95,8 +105,8 @@ func (w *SpMV) Phases(bases []mem.Addr) []Phase {
 				nnzOff := uint64(r) * uint64(w.NnzPerRow) * spmvValBytes
 				nnzLen := uint64(rows) * uint64(w.NnzPerRow) * spmvValBytes
 				// Streaming reads: values and column indices.
-				valPages := pagesIn(vals, nnzOff, nnzLen)
-				colPages := pagesIn(cols, nnzOff, nnzLen)
+				valPages := buf.span(vals, nnzOff, nnzLen)
+				colPages := buf.span(cols, nnzOff, nnzLen)
 				// Data-dependent gathers into x: a handful of
 				// distinct pages per chunk.
 				gathers := rows * w.NnzPerRow / 16
@@ -106,17 +116,17 @@ func (w *SpMV) Phases(bases []mem.Addr) []Phase {
 				if gathers > 8 {
 					gathers = 8
 				}
-				var xps []mem.PageID
+				lo := buf.mark()
 				for g := 0; g < gathers; g++ {
-					xps = append(xps, w.gatherPage(rng, mem.PageOf(x), xPages))
+					buf = append(buf, w.gatherPage(rng, mem.PageOf(x), xPages))
 				}
-				xps = dedupPages(xps)
+				xps := buf.sortedSet(lo)
 				prog = append(prog,
 					gpu.Read(0, valPages...),
 					gpu.Read(1, colPages...),
 					gpu.Read(2, xps...),
-					gpu.Compute(w.ComputePerChunk, 0, 1, 2),
-					gpu.Write(nil, pagesIn(y, uint64(r)*spmvVecBytes, uint64(rows)*spmvVecBytes)...),
+					gpu.Compute(w.ComputePerChunk, deps012...),
+					gpu.Write(nil, buf.span(y, uint64(r)*spmvVecBytes, uint64(rows)*spmvVecBytes)...),
 				)
 			}
 			return []gpu.Program{prog}

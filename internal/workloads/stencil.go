@@ -50,10 +50,21 @@ func (w *GaussSeidel) Allocs() []Alloc {
 	return []Alloc{{Name: "grid", Bytes: w.GridBytes(), HostInit: true, HostThreads: 1}}
 }
 
+// band returns the page runs band bi reads (the band plus one halo row
+// above and below) and writes (the band itself).
+func (w *GaussSeidel) band(base mem.Addr, bi int) (rFirst mem.PageID, rN int, wFirst mem.PageID, wN int) {
+	rowBytes := uint64(w.Cols) * 4
+	r0 := bi * w.BandRows
+	r1 := min(r0+w.BandRows, w.Rows)
+	h0, h1 := max(r0-1, 0), min(r1+1, w.Rows)
+	rFirst, rN = byteSpan(base, uint64(h0)*rowBytes, uint64(h1-h0)*rowBytes)
+	wFirst, wN = byteSpan(base, uint64(r0)*rowBytes, uint64(r1-r0)*rowBytes)
+	return rFirst, rN, wFirst, wN
+}
+
 // Phases implements Workload.
 func (w *GaussSeidel) Phases(bases []mem.Addr) []Phase {
 	base := bases[0]
-	rowBytes := uint64(w.Cols) * 4
 	bands := (w.Rows + w.BandRows - 1) / w.BandRows
 	perStripe := (bands + w.Stripes - 1) / w.Stripes
 	var phases []Phase
@@ -61,41 +72,31 @@ func (w *GaussSeidel) Phases(bases []mem.Addr) []Phase {
 		phases = append(phases, Phase{
 			Name: "sweep",
 			Kernel: gpu.Kernel{NumBlocks: w.Stripes, BlockProgram: func(blk int) []gpu.Program {
-				var prog gpu.Program
-				for bi := blk * perStripe; bi < (blk+1)*perStripe && bi < bands; bi++ {
-					r0 := bi * w.BandRows
-					r1 := r0 + w.BandRows
-					if r1 > w.Rows {
-						r1 = w.Rows
-					}
-					// Halo: one row above and below.
-					h0, h1 := r0-1, r1+1
-					if h0 < 0 {
-						h0 = 0
-					}
-					if h1 > w.Rows {
-						h1 = w.Rows
-					}
-					readPages := dedupPages(pagesIn(base, uint64(h0)*rowBytes, uint64(h1-h0)*rowBytes))
-					writePages := dedupPages(pagesIn(base, uint64(r0)*rowBytes, uint64(r1-r0)*rowBytes))
+				b0, b1 := blk*perStripe, min((blk+1)*perStripe, bands)
+				pages, ops := 0, 0
+				for bi := b0; bi < b1; bi++ {
+					_, rn, _, wn := w.band(base, bi)
+					pages += rn + wn
+					ops += 2*chunks(rn, w.ChunkPages) + chunks(wn, w.ChunkPages)
+				}
+				buf := newPageBuf(pages)
+				prog := newProgram(ops)
+				for bi := b0; bi < b1; bi++ {
+					rFirst, rn, wFirst, wn := w.band(base, bi)
 					// Row-order dependence: each chunk's loads feed
 					// the stencil math before the next chunk issues.
+					readPages := buf.run(rFirst, rn)
 					for lo := 0; lo < len(readPages); lo += w.ChunkPages {
-						hi := lo + w.ChunkPages
-						if hi > len(readPages) {
-							hi = len(readPages)
-						}
+						hi := min(lo+w.ChunkPages, len(readPages))
 						prog = append(prog,
-							gpu.Read(0, readPages[lo:hi]...),
-							gpu.Compute(w.ComputePerChunk, 0),
+							gpu.Read(0, readPages[lo:hi:hi]...),
+							gpu.Compute(w.ComputePerChunk, deps0...),
 						)
 					}
+					writePages := buf.run(wFirst, wn)
 					for lo := 0; lo < len(writePages); lo += w.ChunkPages {
-						hi := lo + w.ChunkPages
-						if hi > len(writePages) {
-							hi = len(writePages)
-						}
-						prog = append(prog, gpu.Write([]int{0}, writePages[lo:hi]...))
+						hi := min(lo+w.ChunkPages, len(writePages))
+						prog = append(prog, gpu.Write(deps0, writePages[lo:hi:hi]...))
 					}
 				}
 				return []gpu.Program{prog}
@@ -195,16 +196,18 @@ func (w *HPGMG) smoothKernel(base mem.Addr, bytes uint64, blocks int) gpu.Kernel
 		if lo >= hi {
 			return nil
 		}
-		var prog gpu.Program
+		buf := newPageBuf(hi - lo)
+		prog := newProgram(3 * chunks(hi-lo, w.ChunkPages))
 		for p := lo; p < hi; p += w.ChunkPages {
 			n := w.ChunkPages
 			if p+n > hi {
 				n = hi - p
 			}
-			pages := gpu.PageRange(first+mem.PageID(p), n)
+			// The read and the write-back share one read-only list.
+			pages := buf.run(first+mem.PageID(p), n)
 			prog = append(prog,
 				gpu.Read(0, pages...),
-				gpu.Compute(w.ComputePerChunk, 0),
+				gpu.Compute(w.ComputePerChunk, deps0...),
 				gpu.Write(nil, pages...),
 			)
 		}
@@ -234,7 +237,9 @@ func (w *HPGMG) transferKernel(src, dst mem.Addr, srcBytes, dstBytes uint64, blo
 		if lo >= hi {
 			return nil
 		}
-		var prog gpu.Program
+		// At most ratio source pages per destination page.
+		buf := newPageBuf((hi - lo) * (ratio + 1))
+		prog := newProgram(3 * chunks(hi-lo, w.ChunkPages))
 		for p := lo; p < hi; p += w.ChunkPages {
 			n := w.ChunkPages
 			if p+n > hi {
@@ -247,11 +252,11 @@ func (w *HPGMG) transferKernel(src, dst mem.Addr, srcBytes, dstBytes uint64, blo
 			}
 			if srcN > 0 {
 				prog = append(prog,
-					gpu.Read(0, gpu.PageRange(s+mem.PageID(srcLo), srcN)...),
-					gpu.Compute(w.ComputePerChunk, 0),
+					gpu.Read(0, buf.run(s+mem.PageID(srcLo), srcN)...),
+					gpu.Compute(w.ComputePerChunk, deps0...),
 				)
 			}
-			prog = append(prog, gpu.Write([]int{0}, gpu.PageRange(d+mem.PageID(p), n)...))
+			prog = append(prog, gpu.Write(deps0, buf.run(d+mem.PageID(p), n)...))
 		}
 		return []gpu.Program{prog}
 	}}

@@ -37,15 +37,16 @@ func (w *VecAddPaper) Allocs() []Alloc {
 // Phases implements Workload.
 func (w *VecAddPaper) Phases(bases []mem.Addr) []Phase {
 	a, b, c := mem.PageOf(bases[0]), mem.PageOf(bases[1]), mem.PageOf(bases[2])
-	var prog gpu.Program
+	buf := newPageBuf(3 * w.Iterations * w.Threads)
+	prog := newProgram(3 * w.Iterations)
 	for it := 0; it < w.Iterations; it++ {
 		off := mem.PageID(it * w.Threads)
 		prog = append(prog,
-			gpu.Read(0, gpu.PageRange(a+off, w.Threads)...),
-			gpu.Read(1, gpu.PageRange(b+off, w.Threads)...),
+			gpu.Read(0, buf.run(a+off, w.Threads)...),
+			gpu.Read(1, buf.run(b+off, w.Threads)...),
 			// The FADD's scoreboard stall: the store cannot issue
 			// until both loads complete (Listing 2).
-			gpu.Write([]int{0, 1}, gpu.PageRange(c+off, w.Threads)...),
+			gpu.Write(deps01, buf.run(c+off, w.Threads)...),
 		)
 	}
 	return []Phase{{
@@ -84,10 +85,11 @@ func (w *VecAddPrefetch) Allocs() []Alloc {
 // Phases implements Workload.
 func (w *VecAddPrefetch) Phases(bases []mem.Addr) []Phase {
 	a, b, c := mem.PageOf(bases[0]), mem.PageOf(bases[1]), mem.PageOf(bases[2])
+	buf := newPageBuf(3 * w.PagesPerVector)
 	prog := gpu.Program{
-		gpu.Prefetch(gpu.PageRange(a, w.PagesPerVector)...),
-		gpu.Prefetch(gpu.PageRange(b, w.PagesPerVector)...),
-		gpu.Prefetch(gpu.PageRange(c, w.PagesPerVector)...),
+		gpu.Prefetch(buf.run(a, w.PagesPerVector)...),
+		gpu.Prefetch(buf.run(b, w.PagesPerVector)...),
+		gpu.Prefetch(buf.run(c, w.PagesPerVector)...),
 		gpu.Compute(10 * sim.Microsecond),
 	}
 	return []Phase{{
@@ -136,7 +138,8 @@ func (w *Regular) Phases(bases []mem.Addr) []Phase {
 			if lo >= hi {
 				return nil
 			}
-			prog := chunked(nil, gpu.PageRange(first+mem.PageID(lo), hi-lo), chunk, false)
+			buf := newPageBuf(hi - lo)
+			prog := chunked(newProgram(chunks(hi-lo, chunk)), buf.run(first+mem.PageID(lo), hi-lo), chunk)
 			return []gpu.Program{prog}
 		}},
 	}}
@@ -174,10 +177,11 @@ func (w *Random) Phases(bases []mem.Addr) []Phase {
 		Name: "random-read",
 		Kernel: gpu.Kernel{NumBlocks: w.Blocks, BlockProgram: func(b int) []gpu.Program {
 			rng := sim.NewRNG(seed + uint64(b)*0x9e37)
-			var prog gpu.Program
+			buf := newPageBuf(w.AccessesPerBlk)
+			prog := newProgram(w.AccessesPerBlk)
 			for i := 0; i < w.AccessesPerBlk; i++ {
 				p := first + mem.PageID(rng.Uint64n(totalPages))
-				prog = append(prog, gpu.Read(0, p))
+				prog = append(prog, gpu.Read(0, buf.one(p)...))
 			}
 			return []gpu.Program{prog}
 		}},
@@ -242,9 +246,14 @@ func (w *Stream) Phases(bases []mem.Addr) []Phase {
 		phases = append(phases, Phase{
 			Name: "triad",
 			Kernel: gpu.Kernel{NumBlocks: w.Blocks, BlockProgram: func(blk int) []gpu.Program {
-				var prog, shadow gpu.Program
 				// Grid-stride: block blk handles chunks blk, blk+B,
 				// blk+2B, ... so all blocks advance one frontier.
+				steps := 0
+				if first := blk * chunk; first < total {
+					steps = chunks(total-first, stride)
+				}
+				buf := newPageBuf(steps * (3*chunk + 2))
+				prog, shadow := newProgram(4*steps), newProgram(3*steps)
 				for p := blk * chunk; p < total; p += stride {
 					n := chunk
 					if p+n > total {
@@ -252,20 +261,21 @@ func (w *Stream) Phases(bases []mem.Addr) []Phase {
 					}
 					off := mem.PageID(p)
 					prog = append(prog,
-						gpu.Read(0, gpu.PageRange(b+off, n)...),
-						gpu.Read(1, gpu.PageRange(c+off, n)...),
-						gpu.Compute(w.ComputePerChunk, 0, 1),
-						gpu.Write(nil, gpu.PageRange(a+off, n)...),
+						gpu.Read(0, buf.run(b+off, n)...),
+						gpu.Read(1, buf.run(c+off, n)...),
+						gpu.Compute(w.ComputePerChunk, deps01...),
+						gpu.Write(nil, buf.run(a+off, n)...),
 					)
 					// Sibling warps coalesce onto the chunk's lead
 					// pages, re-issuing the same faults.
 					shadow = append(shadow,
-						gpu.Read(0, b+off),
-						gpu.Read(1, c+off),
-						gpu.Compute(w.ComputePerChunk, 0, 1),
+						gpu.Read(0, buf.one(b+off)...),
+						gpu.Read(1, buf.one(c+off)...),
+						gpu.Compute(w.ComputePerChunk, deps01...),
 					)
 				}
-				progs := []gpu.Program{prog}
+				progs := make([]gpu.Program, 1, 1+w.ShadowWarps)
+				progs[0] = prog
 				for s := 0; s < w.ShadowWarps; s++ {
 					progs = append(progs, shadow)
 				}
@@ -313,13 +323,14 @@ func (w *VecAddCoalesced) Phases(bases []mem.Addr) []Phase {
 	return []Phase{{
 		Name: "vecadd-coalesced",
 		Kernel: gpu.Kernel{NumBlocks: 1, BlockProgram: func(int) []gpu.Program {
+			buf := newPageBuf(3 * w.Warps * per)
 			progs := make([]gpu.Program, w.Warps)
 			for wi := 0; wi < w.Warps; wi++ {
 				off := mem.PageID(wi * per)
 				progs[wi] = gpu.Program{
-					gpu.Read(0, gpu.PageRange(a+off, per)...),
-					gpu.Read(1, gpu.PageRange(b+off, per)...),
-					gpu.Write([]int{0, 1}, gpu.PageRange(c+off, per)...),
+					gpu.Read(0, buf.run(a+off, per)...),
+					gpu.Read(1, buf.run(b+off, per)...),
+					gpu.Write(deps01, buf.run(c+off, per)...),
 				}
 			}
 			return progs

@@ -8,9 +8,13 @@
 # working set stressing the block directories), BenchmarkEngineDispatch
 # (the event loop with 64 events at distinct times, internal/sim) and
 # BenchmarkEngineDispatchBurst (the event loop under the simulator's
-# measured mix: ~600 pending events over ~14 instants) — with -benchmem
-# and writes a JSON report holding the measured ns/op, B/op and
-# allocs/op next to the previous PR's frozen numbers.
+# measured mix: ~600 pending events over ~14 instants) — plus two
+# end-to-end experiment benchmarks from the root package,
+# BenchmarkTable2PerSMStats and BenchmarkFig09BatchSizeSweep (one full
+# regeneration of that artifact per op, so their allocs/op track the
+# whole simulator's allocation profile) — with -benchmem and writes a
+# JSON report holding the measured ns/op, B/op and allocs/op next to the
+# previous PR's frozen numbers.
 #
 # The baseline is READ FROM THE FROZEN FILE, not hard-coded: a PR that
 # forgets to freeze its numbers breaks the next PR's bench run instead
@@ -90,6 +94,8 @@ go test -run '^$' -bench 'BenchmarkBatchServiceProfiled$' -benchmem -benchtime "
 go test -run '^$' -bench 'BenchmarkLargeWorkingSet$' -benchmem -benchtime "$benchtime" ./internal/uvm | tee -a "$raw"
 go test -run '^$' -bench 'BenchmarkEngineDispatch$' -benchmem -benchtime "$benchtime" ./internal/sim | tee -a "$raw"
 go test -run '^$' -bench 'BenchmarkEngineDispatchBurst$' -benchmem -benchtime "$benchtime" ./internal/sim | tee -a "$raw"
+go test -run '^$' -bench 'BenchmarkTable2PerSMStats$' -benchmem -benchtime "$benchtime" . | tee -a "$raw"
+go test -run '^$' -bench 'BenchmarkFig09BatchSizeSweep$' -benchmem -benchtime "$benchtime" . | tee -a "$raw"
 
 # Fold "BenchmarkName[-P] N ns/op B/op allocs/op" lines into JSON fields,
 # pairing them with the baseline measurements read above.

@@ -137,6 +137,23 @@ if grep -rqn --include='*.go' --exclude-dir=.bench_build 'type MultiSimulator' .
   fail "type MultiSimulator is back; Simulator serves 1..N devices"
 fi
 
+# 9. Allocation-diet guards for the two largest former allocators. Warp
+#    programs carve every op's page list out of one per-block buffer
+#    (pageBuf in internal/workloads/workload.go), so a fresh
+#    gpu.PageRange slice per op must not come back in the builders (the
+#    test oracle keeps the old builders). The host radix tree stores
+#    uint64 values unboxed in typed nodes; an any-typed slot array would
+#    box every DMA address and allocate on every insert.
+for f in internal/workloads/*.go; do
+  case "$f" in *_test.go) continue ;; esac
+  if grep -qn 'gpu\.PageRange(' "$f"; then
+    fail "$f builds page lists with gpu.PageRange; carve them from the block's pageBuf"
+  fi
+done
+if grep -qnE '\](any|interface[[:space:]]*\{[[:space:]]*\})' internal/hostos/radix.go; then
+  fail "internal/hostos/radix.go has any-typed slots; radix nodes hold typed children and unboxed values"
+fi
+
 if [ "$status" -ne 0 ]; then
   exit 1
 fi
