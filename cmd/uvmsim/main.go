@@ -25,47 +25,11 @@ import (
 	"guvm/internal/workloads"
 )
 
-func buildWorkload(name string, mb uint64, n, hostThreads int, seed uint64) (workloads.Workload, error) {
-	bytes := mb << 20
-	switch name {
-	case "vecadd":
-		return workloads.NewVecAddPaper(), nil
-	case "vecadd-prefetch":
-		return workloads.NewVecAddPrefetch(), nil
-	case "vecadd-coalesced":
-		return workloads.NewVecAddCoalesced(), nil
-	case "regular":
-		return workloads.NewRegular(bytes, 160), nil
-	case "random":
-		return workloads.NewRandom(bytes, 160, 300, seed), nil
-	case "stream":
-		return workloads.NewStream(bytes, 24), nil
-	case "sgemm":
-		return workloads.NewSGEMM(n), nil
-	case "dgemm":
-		return workloads.NewDGEMM(n), nil
-	case "fft":
-		return workloads.NewFFT(int(bytes/8), 10), nil
-	case "gauss-seidel":
-		return workloads.NewGaussSeidel(n, 3), nil
-	case "hpgmg":
-		return workloads.NewHPGMG(bytes, hostThreads), nil
-	case "spmv":
-		return workloads.NewSpMV(n*n/64, 16, seed), nil
-	}
-	return nil, fmt.Errorf("unknown workload %q", name)
-}
-
-var workloadNames = []string{
-	"vecadd", "vecadd-prefetch", "vecadd-coalesced", "regular", "random", "stream",
-	"sgemm", "dgemm", "fft", "gauss-seidel", "hpgmg", "spmv",
-}
-
 func main() {
 	var (
 		name        = flag.String("workload", "stream", "workload name (see -list)")
 		mb          = flag.Uint64("mb", 64, "workload footprint knob in MiB (per array / fine grid)")
-		n           = flag.Int("n", 2048, "problem dimension for gemm/gauss-seidel")
+		n           = flag.Int("n", 2048, "problem dimension for gemm/gauss-seidel/spmv")
 		gpuMB       = flag.Uint64("gpu-mb", 256, "GPU memory capacity in MiB")
 		batch       = flag.Int("batch", 256, "fault batch size limit")
 		prefetch    = flag.Bool("prefetch", true, "enable the density prefetcher")
@@ -132,7 +96,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, w := range workloadNames {
+		for _, w := range workloads.CatalogNames() {
 			fmt.Println(w)
 		}
 		return
@@ -152,7 +116,13 @@ func main() {
 		w, err = workloads.ParseTrace(f)
 		f.Close()
 	} else {
-		w, err = buildWorkload(*name, *mb, *n, *hostThreads, *seed)
+		var mk func() workloads.Workload
+		if mk, err = workloads.ByName(*name, *mb, *n, *seed); err == nil {
+			w = mk()
+			if h, ok := w.(*workloads.HPGMG); ok {
+				h.HostThreads = *hostThreads
+			}
+		}
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "uvmsim: %v\n", err)

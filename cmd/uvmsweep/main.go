@@ -1,11 +1,14 @@
 // Command uvmsweep runs a driver-policy parameter grid over one workload
 // and emits a CSV of outcomes — the bulk-experimentation companion to
 // uvmsim. Sweeps cover batch size, prefetching, capacity (oversubscription
-// ratio), and eviction policy.
+// ratio), eviction policy, batch sizing and architecture.
 //
-// Grid points run on a worker pool (-jobs, default GOMAXPROCS); each
-// point drives its own simulation engine and rows are emitted in grid
-// order, so the CSV is byte-identical at any -jobs value.
+// uvmsweep is an in-process client of the sweepd planner: its flags fill
+// a sweepd.JobSpec, JobSpec.Points expands and validates the grid, and
+// every point runs through sweepd.SimulatePoint (invariant auditor on)
+// and prints as PointRow.CSV. Grid points run on a worker pool (-jobs,
+// default GOMAXPROCS); rows are emitted in grid order, so the CSV is
+// byte-identical at any -jobs value.
 //
 // Usage:
 //
@@ -25,24 +28,32 @@ import (
 	"syscall"
 	"time"
 
-	"guvm"
 	"guvm/internal/experiments"
 	"guvm/internal/obs"
 	"guvm/internal/sim"
+	"guvm/internal/sweepd"
 	"guvm/internal/uvm"
-	"guvm/internal/workloads"
 )
 
-func parseIntList(s string) ([]int, error) {
+// fatal reports err and exits: 2 for a bad command line, 1 for a run
+// that failed.
+func fatal(code int, err error) {
+	fmt.Fprintf(os.Stderr, "uvmsweep: %v\n", err)
+	os.Exit(code)
+}
+
+// intList parses a comma-separated list of integers, exiting 2 on a bad
+// element.
+func intList(s string) []int {
 	var out []int
 	for _, f := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil {
-			return nil, fmt.Errorf("bad list element %q", f)
+			fatal(2, fmt.Errorf("bad list element %q", f))
 		}
 		out = append(out, v)
 	}
-	return out, nil
+	return out
 }
 
 func main() {
@@ -55,9 +66,8 @@ func main() {
 		caps    = flag.String("caps", "32,64,256", "comma-separated GPU capacities in MiB")
 		// Shared sweep policy flag block: comma lists per registry dimension
 		// (-prefetch/-evict/-batch-sizing/-arch) plus -list-policies.
-		plf     = uvm.RegisterPolicyListFlags(flag.CommandLine)
-		auditOn = flag.Bool("audit", false, "run the invariant auditor on every sweep point; a violation names the failing point and exits non-zero")
-		jobs    = flag.Int("jobs", runtime.GOMAXPROCS(0), "number of sweep points to run concurrently")
+		plf  = uvm.RegisterPolicyListFlags(flag.CommandLine)
+		jobs = flag.Int("jobs", runtime.GOMAXPROCS(0), "number of sweep points to run concurrently")
 		// Shared obs flag set: -trace-out records one wall-clock span per
 		// grid point; the metrics flags publish/sample sweep progress.
 		ofl = obs.RegisterFlags(flag.CommandLine)
@@ -74,42 +84,21 @@ func main() {
 		return
 	}
 
-	mk, err := workloads.ByName(*name, *mb, *n, *seed)
+	// Expand the grid up front: Points validates the workload, its size
+	// and every policy name before any simulation runs, so a bad sweep is
+	// rejected (with the valid options) with exit 2.
+	spec := sweepd.JobSpec{
+		Workload: *name, MB: *mb, N: *n, Seed: *seed,
+		Batches:  intList(*batches),
+		CapsMB:   intList(*caps),
+		Evict:    strings.Split(plf.Eviction, ","),
+		Prefetch: strings.Split(plf.Prefetch, ","),
+		Sizing:   strings.Split(plf.BatchSizing, ","),
+		Arch:     strings.Split(plf.Architecture, ","),
+	}
+	grid, err := spec.Points()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "uvmsweep: %v\n", err)
-		os.Exit(2)
-	}
-	batchList, err := parseIntList(*batches)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "uvmsweep: %v\n", err)
-		os.Exit(2)
-	}
-	capList, err := parseIntList(*caps)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "uvmsweep: %v\n", err)
-		os.Exit(2)
-	}
-	// Expand the grid up front (Selections validates every policy name
-	// against the registry before any simulation runs — an unknown name is
-	// rejected with the valid options), then fan the independent points
-	// out on the pool. Each point carries a named PolicySelection that
-	// NewSimulator resolves onto the driver config.
-	type point struct {
-		bs, capMB int
-		pols      uvm.PolicySelection
-	}
-	sels, err := plf.Selections()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "uvmsweep: %v\n", err)
-		os.Exit(2)
-	}
-	var grid []point
-	for _, bs := range batchList {
-		for _, capMB := range capList {
-			for _, sel := range sels {
-				grid = append(grid, point{bs, capMB, sel})
-			}
-		}
+		fatal(2, err)
 	}
 
 	// Opt-in live progress endpoint and sampled progress series. Counters
@@ -136,8 +125,7 @@ func main() {
 		if ofl.MetricsAddr != "" {
 			srv, err := obs.Serve(ofl.MetricsAddr, prog)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "uvmsweep: %v\n", err)
-				os.Exit(2)
+				fatal(2, err)
 			}
 			defer srv.Close()
 			fmt.Fprintf(os.Stderr, "metrics: serving on %s\n", srv.Addr())
@@ -155,46 +143,22 @@ func main() {
 	}
 
 	type outcome struct {
-		row     string
-		faults  int
+		row     sweepd.PointRow
 		elapsed time.Duration
 		err     error
 	}
-	fmt.Println("workload,batch_size,cap_mb,prefetch,evict,batch_sizing,arch,kernel_ms,batch_ms,batches,faults,evictions,migrated_mb,prefetched_pages")
+	fmt.Println(sweepd.CSVHeader)
 	runErr := experiments.ForEachOrdered(ctx, len(grid), *jobs, func(i int) outcome {
 		pointStart := time.Now()
-		p := grid[i]
-		cfg := guvm.DefaultConfig()
-		cfg.Driver.BatchSize = p.bs
-		cfg.Driver.GPUMemBytes = uint64(p.capMB) << 20
-		cfg.Policies = p.pols
-		cfg.Audit.Enabled = *auditOn
-		cfg.Audit.Interval = 1
-		s, err := guvm.NewSimulator(cfg)
-		if err != nil {
-			return outcome{err: err}
-		}
-		res, err := s.Run(mk())
-		if err != nil {
-			return outcome{err: fmt.Errorf("%s bs=%d cap=%d: %w", *name, p.bs, p.capMB, err)}
-		}
-		return outcome{row: fmt.Sprintf("%s,%d,%d,%s,%s,%s,%s,%.3f,%.3f,%d,%d,%d,%.1f,%d",
-			res.Workload, p.bs, p.capMB, p.pols.Prefetch, p.pols.Eviction, p.pols.BatchSizing, p.pols.Architecture,
-			res.KernelTime.Millis(), res.BatchTime().Millis(),
-			len(res.Batches), res.DriverStats.TotalFaults,
-			res.DriverStats.Evictions,
-			float64(res.BytesMigrated())/(1<<20),
-			res.DriverStats.PrefetchedPages),
-			faults:  res.DriverStats.TotalFaults,
-			elapsed: time.Since(pointStart)}
+		row, _, err := sweepd.SimulatePoint(grid[i])
+		return outcome{row: row, elapsed: time.Since(pointStart), err: err}
 	}, func(i int, o outcome) {
 		if o.err != nil {
-			fmt.Fprintf(os.Stderr, "uvmsweep: %v\n", o.err)
-			os.Exit(1)
+			fatal(1, o.err)
 		}
-		fmt.Println(o.row)
+		fmt.Println(o.row.CSV())
 		done++
-		faults += o.faults
+		faults += o.row.Faults
 		if harness != nil {
 			end := sim.Time(time.Since(progStart).Nanoseconds())
 			start := end - sim.Time(o.elapsed.Nanoseconds())
@@ -203,7 +167,7 @@ func main() {
 			}
 			p := grid[i]
 			harness.Add(1, "point", fmt.Sprintf("bs=%d cap=%d %s/%s/%s/%s",
-				p.bs, p.capMB, p.pols.Prefetch, p.pols.Eviction, p.pols.BatchSizing, p.pols.Architecture),
+				p.BatchSize, p.CapMB, p.Prefetch, p.Evict, p.Sizing, p.Arch),
 				start, end-start, i)
 		}
 		if prog != nil {
@@ -222,8 +186,7 @@ func main() {
 		sampler = prog.Sampler
 	}
 	if err := ofl.WriteArtifacts(harness, sampler, logf); err != nil {
-		fmt.Fprintf(os.Stderr, "uvmsweep: %v\n", err)
-		os.Exit(1)
+		fatal(1, err)
 	}
 	if runErr != nil {
 		fmt.Fprintf(os.Stderr, "uvmsweep: interrupted (%v): emitted %d of %d grid points\n",

@@ -477,12 +477,6 @@ func (s *Simulator) run(ws []workloads.Workload, explicit bool) ([]*Result, erro
 
 	kernelTimes := make([]sim.Time, len(ws))
 	basesPer := make([][]mem.Addr, len(ws))
-	for i, w := range ws {
-		var err error
-		if basesPer[i], err = s.start(i, w, explicit, &kernelTimes[i]); err != nil {
-			return nil, err
-		}
-	}
 	if s.Obs != nil {
 		name := ws[0].Name()
 		drv := s.Drivers[0]
@@ -497,6 +491,9 @@ func (s *Simulator) run(ws []workloads.Workload, explicit bool) ([]*Result, erro
 		})
 	}
 
+	// The recover covers building each workload's phases too: a workload
+	// that panics there (say, a size it cannot tile) fails the run with an
+	// error instead of taking the caller's process down.
 	var runErr, engErr error
 	func() {
 		defer func() {
@@ -504,6 +501,11 @@ func (s *Simulator) run(ws []workloads.Workload, explicit bool) ([]*Result, erro
 				runErr = fmt.Errorf("guvm: simulation panicked: %v", r)
 			}
 		}()
+		for i, w := range ws {
+			if basesPer[i], runErr = s.start(i, w, explicit, &kernelTimes[i]); runErr != nil {
+				return
+			}
+		}
 		_, engErr = s.Engine.Run()
 	}()
 	failure := runErr

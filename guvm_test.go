@@ -1,6 +1,7 @@
 package guvm
 
 import (
+	"strings"
 	"testing"
 
 	"guvm/internal/mem"
@@ -73,6 +74,15 @@ func TestSimulatorSingleShot(t *testing.T) {
 	}
 	if _, err := s.Run(workloads.NewStream(4<<20, 8)); err == nil {
 		t.Fatal("second Run on same Simulator succeeded")
+	}
+}
+
+// TestPhasesPanicIsAnError: a workload whose Phases panics (a GEMM size
+// off its tile) fails the run with an error; the caller keeps running.
+func TestPhasesPanicIsAnError(t *testing.T) {
+	_, err := mustSim(t, testConfig()).Run(workloads.NewSGEMM(1000))
+	if err == nil || !strings.Contains(err.Error(), "not divisible by tile") {
+		t.Fatalf("Run(sgemm n=1000) = %v, want the tiling panic as an error", err)
 	}
 }
 

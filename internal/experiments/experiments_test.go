@@ -1,9 +1,71 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var updateGoldens = flag.Bool("update-goldens", false,
+	"rewrite testdata/paperfigs.sha256 from the current experiments")
+
+// paperfigsManifest holds one SHA-256 per experiment artifact, in
+// sha256sum format ("<hex>  <id>").
+var paperfigsManifest = filepath.Join("testdata", "paperfigs.sha256")
+
+// artifactDigest renders an artifact the way paperfigs writes it
+// (aligned tables, CSV tables and series, notes) and returns the SHA-256
+// of the bytes.
+func artifactDigest(a *Artifact) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\n%s\n", a.ID, a.Title)
+	for _, tb := range a.Tables {
+		h.Write([]byte(tb.String()))
+		h.Write([]byte(tb.CSV()))
+	}
+	for _, s := range a.Series {
+		fmt.Fprintf(h, "%s\n", s.Title)
+		h.Write([]byte(s.CSV()))
+	}
+	for _, n := range a.Notes {
+		fmt.Fprintf(h, "- %s\n", n)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func readManifest(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(paperfigsManifest)
+	if err != nil {
+		t.Fatalf("missing manifest (run with -update-goldens to freeze): %v", err)
+	}
+	m := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 2 {
+			t.Fatalf("%s: malformed line %q", paperfigsManifest, line)
+		}
+		m[f[1]] = f[0]
+	}
+	return m
+}
+
+// writeManifest writes one line per experiment, in registry order.
+func writeManifest(t *testing.T, got map[string]string) {
+	t.Helper()
+	var b strings.Builder
+	for _, g := range All() {
+		fmt.Fprintf(&b, "%s  %s\n", got[g.ID], g.ID)
+	}
+	if err := os.WriteFile(paperfigsManifest, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestRegistryWellFormed(t *testing.T) {
 	gens := All()
@@ -146,12 +208,18 @@ func TestExperimentsDeterministic(t *testing.T) {
 
 // TestAllExperimentsProduceOutput runs every generator — all paper
 // figures/tables, the ablations, and the multi-GPU extension — and checks
-// each emits well-formed artifacts. This is the end-to-end guard on the
-// reproduction harness (~30s).
+// each emits well-formed artifacts whose rendered bytes hash to the
+// committed manifest, so any change to paperfigs output fails here. This
+// is the end-to-end guard on the reproduction harness.
 func TestAllExperimentsProduceOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness run")
 	}
+	var want map[string]string
+	if !*updateGoldens {
+		want = readManifest(t)
+	}
+	got := map[string]string{}
 	ResetCache()
 	for _, g := range All() {
 		g := g
@@ -159,6 +227,10 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 			a, err := g.Run()
 			if err != nil {
 				t.Fatal(err)
+			}
+			got[g.ID] = artifactDigest(a)
+			if want != nil && got[g.ID] != want[g.ID] {
+				t.Errorf("rendered output hashes to %s, manifest has %q", got[g.ID], want[g.ID])
 			}
 			if a.ID != g.ID {
 				t.Fatalf("artifact id %q != generator id %q", a.ID, g.ID)
@@ -191,5 +263,13 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 				}
 			}
 		})
+	}
+	switch {
+	case *updateGoldens && len(got) != len(All()):
+		t.Fatalf("-update-goldens needs every experiment; %d of %d ran", len(got), len(All()))
+	case *updateGoldens:
+		writeManifest(t, got)
+	case len(got) == len(All()) && len(want) != len(got):
+		t.Errorf("%s has %d entries for %d experiments", paperfigsManifest, len(want), len(got))
 	}
 }

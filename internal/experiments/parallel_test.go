@@ -7,27 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"guvm/internal/digest"
 )
-
-// artifactDigest folds an artifact's rendered output — everything
-// cmd/paperfigs writes to disk, plus the notes — into one FNV-1a hash,
-// the same digest machinery the determinism verifier uses for simulator
-// state.
-func artifactDigest(a *Artifact) digest.Hash {
-	h := digest.New().String(a.ID).String(a.Title)
-	for _, tb := range a.Tables {
-		h = h.String(tb.String()).String(tb.CSV())
-	}
-	for _, s := range a.Series {
-		h = h.String(s.Title).String(s.CSV())
-	}
-	for _, n := range a.Notes {
-		h = h.String(n)
-	}
-	return h
-}
 
 // TestParallelDeterminism runs fig08 plus the table generators (which
 // share the memoized table-run set through the single-flight cache) at
@@ -47,9 +27,9 @@ func TestParallelDeterminism(t *testing.T) {
 		gens = append(gens, g)
 	}
 
-	runAt := func(jobs int) []digest.Hash {
+	runAt := func(jobs int) []string {
 		ResetCache() // force full recomputation, not a cached replay
-		var digests []digest.Hash
+		var digests []string
 		if err := RunParallel(context.Background(), gens, jobs, func(r RunResult) {
 			if r.Err != nil {
 				t.Errorf("jobs=%d: %s failed: %v", jobs, r.Gen.ID, r.Err)
@@ -73,7 +53,7 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	for i, id := range ids {
 		if seq[i] != par[i] {
-			t.Errorf("%s: artifact digest differs between -jobs 1 (%x) and -jobs 8 (%x)",
+			t.Errorf("%s: artifact digest differs between -jobs 1 (%s) and -jobs 8 (%s)",
 				id, seq[i], par[i])
 		}
 	}

@@ -28,6 +28,7 @@ package faultinject
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"guvm/internal/sim"
@@ -98,21 +99,25 @@ func (c Config) Enabled() bool {
 	return c.BufferDropRate > 0 || c.MigrateFailRate > 0 || c.HostAllocFailRate > 0
 }
 
+// checkRate rejects a probability outside [0, 1]. It is the one rate
+// check of every injection config; NaN is named explicitly because it
+// compares false with both bounds and would pass a plain range test.
+func checkRate(name string, rate float64) error {
+	if math.IsNaN(rate) || rate < 0 || rate > 1 {
+		return fmt.Errorf("faultinject: %s = %v, need in [0, 1]", name, rate)
+	}
+	return nil
+}
+
 // Validate checks the configuration for values injection cannot run with.
 func (c Config) Validate() error {
-	check := func(name string, rate float64) error {
-		if rate < 0 || rate > 1 {
-			return fmt.Errorf("faultinject: %s = %v, need in [0, 1]", name, rate)
-		}
-		return nil
-	}
-	if err := check("BufferDropRate", c.BufferDropRate); err != nil {
+	if err := checkRate("BufferDropRate", c.BufferDropRate); err != nil {
 		return err
 	}
-	if err := check("MigrateFailRate", c.MigrateFailRate); err != nil {
+	if err := checkRate("MigrateFailRate", c.MigrateFailRate); err != nil {
 		return err
 	}
-	if err := check("HostAllocFailRate", c.HostAllocFailRate); err != nil {
+	if err := checkRate("HostAllocFailRate", c.HostAllocFailRate); err != nil {
 		return err
 	}
 	switch {

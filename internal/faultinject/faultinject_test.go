@@ -1,7 +1,9 @@
 package faultinject
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -371,5 +373,32 @@ func TestServiceConfigValidate(t *testing.T) {
 	}
 	if _, err := NewService(ServiceConfig{}); err != nil {
 		t.Errorf("zero config rejected: %v", err)
+	}
+}
+
+// TestRatesRejectedInEveryConfig sets each rate field of the three
+// injection configs to NaN, below 0 and above 1: every Validate must
+// reject all three, naming the field.
+func TestRatesRejectedInEveryConfig(t *testing.T) {
+	cases := []struct {
+		field    string
+		validate func(rate float64) error
+	}{
+		{"BufferDropRate", func(r float64) error { return Config{BufferDropRate: r}.Validate() }},
+		{"MigrateFailRate", func(r float64) error { return Config{MigrateFailRate: r}.Validate() }},
+		{"HostAllocFailRate", func(r float64) error { return Config{HostAllocFailRate: r}.Validate() }},
+		{"PointFailRate", func(r float64) error { return ServiceConfig{PointFailRate: r}.Validate() }},
+		{"SlowPointRate", func(r float64) error { return ServiceConfig{SlowPointRate: r}.Validate() }},
+		{"LinkDegradeRate", func(r float64) error { return HardwareConfig{LinkDegradeRate: r}.Validate() }},
+		{"LinkFlapRate", func(r float64) error { return HardwareConfig{LinkFlapRate: r}.Validate() }},
+		{"FlapDropRate", func(r float64) error { return HardwareConfig{FlapDropRate: r}.Validate() }},
+	}
+	for _, c := range cases {
+		for _, rate := range []float64{math.NaN(), -0.1, 1.1} {
+			err := c.validate(rate)
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%s = %v: Validate() = %v, want a rejection naming the field", c.field, rate, err)
+			}
+		}
 	}
 }

@@ -98,19 +98,13 @@ func (c HardwareConfig) Enabled() bool {
 // Validate checks the configuration for values the domain cannot run
 // with.
 func (c HardwareConfig) Validate() error {
-	check := func(name string, rate float64) error {
-		if math.IsNaN(rate) || rate < 0 || rate > 1 {
-			return fmt.Errorf("faultinject: %s = %v, need in [0, 1]", name, rate)
-		}
-		return nil
-	}
-	if err := check("LinkDegradeRate", c.LinkDegradeRate); err != nil {
+	if err := checkRate("LinkDegradeRate", c.LinkDegradeRate); err != nil {
 		return err
 	}
-	if err := check("LinkFlapRate", c.LinkFlapRate); err != nil {
+	if err := checkRate("LinkFlapRate", c.LinkFlapRate); err != nil {
 		return err
 	}
-	if err := check("FlapDropRate", c.FlapDropRate); err != nil {
+	if err := checkRate("FlapDropRate", c.FlapDropRate); err != nil {
 		return err
 	}
 	switch {

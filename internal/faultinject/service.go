@@ -64,11 +64,13 @@ func (c ServiceConfig) Enabled() bool {
 
 // Validate checks the configuration for values injection cannot run with.
 func (c ServiceConfig) Validate() error {
+	if err := checkRate("PointFailRate", c.PointFailRate); err != nil {
+		return err
+	}
+	if err := checkRate("SlowPointRate", c.SlowPointRate); err != nil {
+		return err
+	}
 	switch {
-	case c.PointFailRate < 0 || c.PointFailRate > 1:
-		return fmt.Errorf("faultinject: PointFailRate = %v, need in [0, 1]", c.PointFailRate)
-	case c.SlowPointRate < 0 || c.SlowPointRate > 1:
-		return fmt.Errorf("faultinject: SlowPointRate = %v, need in [0, 1]", c.SlowPointRate)
 	case c.PointFailLimit < 0:
 		return fmt.Errorf("faultinject: PointFailLimit = %d, need >= 0", c.PointFailLimit)
 	case c.SlowPointDelay < 0:

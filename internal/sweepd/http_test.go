@@ -138,6 +138,9 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if resp, body := postJob(t, srv, `{"workload":"nope"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad workload = %d %s", resp.StatusCode, body)
 	}
+	if resp, body := postJob(t, srv, `{"workload":"sgemm","n":1000}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("gemm n off the tile = %d %s", resp.StatusCode, body)
+	}
 	if resp, body := postJob(t, srv, `{"workload":"stream","bogus_field":1}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field = %d %s", resp.StatusCode, body)
 	}

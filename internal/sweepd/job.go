@@ -91,7 +91,9 @@ func (js *JobSpec) normalize() {
 }
 
 // Points validates the spec and expands its grid in deterministic order
-// (batches x caps x prefetch x evict x sizing, matching uvmsweep). Every
+// (batches x caps x prefetch x evict x sizing x arch, the architecture
+// innermost). This is the one grid expander: uvmsweep fills a JobSpec
+// from its flags and runs these same points. Every
 // policy name is checked against the registry and the workload against
 // the catalog before any simulation runs, so a bad spec is rejected at
 // admission with a client error, never mid-sweep.
@@ -114,8 +116,8 @@ func (js JobSpec) Points() ([]PointConfig, error) {
 	for _, bs := range js.Batches {
 		for _, capMB := range js.CapsMB {
 			for _, pf := range js.Prefetch {
-				// Legacy aliases (on/off), as in uvmsweep.
-				pfName := uvm.NormalizePrefetch(pf)
+				// Legacy aliases (on/off).
+				pfName := normalizePrefetch(pf)
 				for _, ev := range js.Evict {
 					for _, sz := range js.Sizing {
 						for _, ar := range js.Arch {
@@ -148,6 +150,18 @@ func (js JobSpec) Points() ([]PointConfig, error) {
 		}
 	}
 	return pts, nil
+}
+
+// normalizePrefetch maps the legacy prefetch aliases a sweep accepts onto
+// registry names: "on" means "tree", "" means "off".
+func normalizePrefetch(name string) string {
+	switch name = strings.TrimSpace(name); name {
+	case "on":
+		return "tree"
+	case "":
+		return "off"
+	}
+	return name
 }
 
 // PointConfig is one fully-resolved grid point — the unit of caching.
@@ -214,6 +228,18 @@ type PointRow struct {
 	Attempts int `json:"attempts,omitempty"`
 	// Error is set instead of a result when every attempt failed.
 	Error string `json:"error,omitempty"`
+}
+
+// CSVHeader names the columns of PointRow.CSV.
+const CSVHeader = "workload,batch_size,cap_mb,prefetch,evict,batch_sizing,arch,kernel_ms,batch_ms,batches,faults,evictions,migrated_mb,prefetched_pages"
+
+// CSV renders the row's point and outcome as one CSV line (no newline)
+// under CSVHeader.
+func (r PointRow) CSV() string {
+	p := r.Point
+	return fmt.Sprintf("%s,%d,%d,%s,%s,%s,%s,%.3f,%.3f,%d,%d,%d,%.1f,%d",
+		p.Workload, p.BatchSize, p.CapMB, p.Prefetch, p.Evict, p.Sizing, p.Arch,
+		r.KernelMS, r.BatchMS, r.Batches, r.Faults, r.Evictions, r.MigratedMB, r.PrefetchedPages)
 }
 
 // SimulatePoint runs one grid point to completion and returns its result

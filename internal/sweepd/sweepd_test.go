@@ -417,6 +417,29 @@ func TestResumeRecoveredJob(t *testing.T) {
 	}
 }
 
+// TestResumeSkipsBadSpec: a journaled job whose spec no longer passes
+// admission is reported and skipped on restart, never run.
+func TestResumeSkipsBadSpec(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.BeginJob("job-1", []byte(`{"workload":"sgemm","n":1000}`)); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	st2, rec, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	s := New(st2, nil, nil, testConfig())
+	if n, errs := s.Resume(rec.IncompleteJobs); n != 0 || len(errs) != 1 {
+		t.Fatalf("resume = %d jobs, errs %v; want 0 jobs, 1 error", n, errs)
+	}
+}
+
 // TestBadSpecRejected exercises admission validation.
 func TestBadSpecRejected(t *testing.T) {
 	s := newTestService(t, testConfig(), nil)
@@ -424,6 +447,8 @@ func TestBadSpecRejected(t *testing.T) {
 		{Workload: "no-such-workload"},
 		{Workload: "stream", Evict: []string{"no-such-policy"}},
 		{Workload: "stream", Batches: []int{-1}},
+		{Workload: "sgemm", N: 1000}, // not a multiple of the 256 tile
+		{Workload: "sgemm", N: -8},
 	} {
 		if _, err := s.Submit(spec); err == nil {
 			t.Fatalf("spec %+v admitted", spec)

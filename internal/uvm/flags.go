@@ -4,16 +4,16 @@ package uvm
 // faultviz, paperfigs, sweepd, uvmsweep) selects driver policies along
 // the same registry dimensions; this file is the single definition of
 // those flags, mirroring obs.RegisterFlags for the observability block.
-// Single-choice tools register PolicyFlags; grid tools (uvmsweep, the
-// sweepd defaults) register PolicyListFlags, whose comma lists expand to
-// a deterministic cross product of selections.
+// Single-choice tools (uvmsim, faultviz, paperfigs, and sweepd for its
+// daemon-wide defaults) register PolicyFlags; the grid tool uvmsweep
+// registers PolicyListFlags, whose comma lists fill a sweepd.JobSpec
+// that expands them into the grid.
 
 import (
 	"flag"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
 // PolicyFlags binds the single-choice policy selection flags (-evict,
@@ -118,46 +118,4 @@ func (pf *PolicyListFlags) HandleList(w io.Writer) bool {
 	}
 	WritePolicies(w)
 	return true
-}
-
-// NormalizePrefetch maps the legacy prefetch aliases the sweep tools
-// accept onto registry names: "on" means "tree", "" means "off".
-func NormalizePrefetch(name string) string {
-	name = strings.TrimSpace(name)
-	switch name {
-	case "on":
-		return "tree"
-	case "":
-		return "off"
-	}
-	return name
-}
-
-// Selections expands the comma lists into the full cross product in
-// deterministic order (prefetch outermost, then eviction, batch sizing,
-// architecture innermost), validating every name against the registry so
-// an unknown policy is rejected — with the valid options — before any
-// simulation runs.
-func (pf *PolicyListFlags) Selections() ([]PolicySelection, error) {
-	var out []PolicySelection
-	for _, p := range strings.Split(pf.Prefetch, ",") {
-		for _, ev := range strings.Split(pf.Eviction, ",") {
-			for _, sz := range strings.Split(pf.BatchSizing, ",") {
-				for _, ar := range strings.Split(pf.Architecture, ",") {
-					sel := PolicySelection{
-						Eviction:     strings.TrimSpace(ev),
-						Prefetch:     NormalizePrefetch(p),
-						BatchSizing:  strings.TrimSpace(sz),
-						Architecture: strings.TrimSpace(ar),
-					}
-					var probe Config
-					if err := sel.Apply(&probe); err != nil {
-						return nil, err
-					}
-					out = append(out, sel)
-				}
-			}
-		}
-	}
-	return out, nil
 }

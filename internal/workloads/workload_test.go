@@ -453,3 +453,25 @@ func TestVecAddCoalescedShape(t *testing.T) {
 		}
 	}
 }
+
+// TestCatalogue: every listed name builds, and a size the workload cannot
+// run with is an error at lookup, not a panic when its phases are built.
+func TestCatalogue(t *testing.T) {
+	for _, name := range CatalogNames() {
+		mk, err := ByName(name, 4, 512, 7)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if w := mk(); w.Name() == "" || len(w.Allocs()) == 0 {
+			t.Fatalf("%s: empty workload %+v", name, w)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"sgemm", 1000}, {"dgemm", 0}, {"sgemm", -256}, {"gauss-seidel", 0}, {"spmv", -3}} {
+		if _, err := ByName(c.name, 4, c.n, 7); err == nil {
+			t.Errorf("ByName(%s, n=%d) accepted", c.name, c.n)
+		}
+	}
+}

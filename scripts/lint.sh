@@ -154,6 +154,24 @@ if grep -qnE '\](any|interface[[:space:]]*\{[[:space:]]*\})' internal/hostos/rad
   fail "internal/hostos/radix.go has any-typed slots; radix nodes hold typed children and unboxed values"
 fi
 
+# 10. One workload catalogue and one sweep-point runner. Every CLI
+#     resolves workload names through workloads.ByName, so no cmd/*/main.go
+#     may switch on a catalogue name itself; and uvmsweep runs each point
+#     through sweepd.SimulatePoint, so it must not build its own simulator.
+names=$(sed -n 's/^[[:space:]]*case "\([a-z-]*\)":.*/\1/p' internal/workloads/catalog.go | paste -sd'|' -)
+[ -n "$names" ] || fail "no workload names found in internal/workloads/catalog.go"
+for f in cmd/*/main.go; do
+  if grep -qnE "case .*\"($names)\"" "$f"; then
+    fail "$f switches on a workload name; resolve workloads through workloads.ByName"
+  fi
+done
+for f in cmd/uvmsweep/*.go; do
+  case "$f" in *_test.go) continue ;; esac
+  if grep -qn 'guvm\.NewSimulator' "$f"; then
+    fail "$f calls guvm.NewSimulator; sweep points run through sweepd.SimulatePoint"
+  fi
+done
+
 if [ "$status" -ne 0 ]; then
   exit 1
 fi
